@@ -1,22 +1,27 @@
 #!/usr/bin/env python3
 """Run the bundled L = 1/7/12 scenarios over M = 3..13 and write a sweep CSV.
 
-Equivalent to:
+Shorthand for:
 
     udrange sweep --plan plans/fig1_L1.json --plan plans/fig1_L7.json \
         --plan plans/fig1_L12.json --m-range 3..13 --trials 32768 \
         --seed 2014 --out fig1_sweep.csv
 
-but driven through the library so it works without the console script.
+run through ``udrange.cli.main`` so it works without the console script.
 """
 
 import argparse
+import sys
+from pathlib import Path
 
-from udrange import fig1
-from udrange.estimator import sweep
+from udrange import cli
+
+PLAN_DIR = Path(__file__).resolve().parents[1] / "plans"
+PLANS = [PLAN_DIR / f"fig1_L{L}.json" for L in (1, 7, 12)]
+M_RANGE = range(3, 14)
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--trials", type=int, default=2**15)
     parser.add_argument("--seed", type=int, default=2014)
@@ -24,19 +29,16 @@ def main() -> None:
     parser.add_argument("--out", default="fig1_sweep.csv")
     args = parser.parse_args()
 
-    rows = sweep(
-        fig1.all_plans(), range(3, 14), args.trials, args.seed, workers=args.workers
-    )
-    with open(args.out, "w", newline="") as fh:
-        fh.write("L,N,M,P_exact,P_asymptotic,P_mc,stderr,trials,seed\n")
-        for r in rows:
-            fh.write(
-                f"{r.n_segments},{r.n_frequencies},{r.m},"
-                f"{r.exact:.10f},{r.asymptotic:.10f},{r.monte_carlo:.10f},"
-                f"{r.std_error:.10f},{r.trials},{r.seed}\n"
-            )
-    print(f"wrote {len(rows)} rows to {args.out}")
+    argv = ["sweep", "--m-range", f"{M_RANGE.start}..{M_RANGE.stop - 1}"]
+    for path in PLANS:
+        argv += ["--plan", str(path)]
+    argv += ["--trials", str(args.trials), "--seed", str(args.seed),
+             "--workers", str(args.workers), "--out", args.out]
+    code = cli.main(argv)
+    if code == 0:
+        print(f"wrote {len(PLANS) * len(M_RANGE)} rows to {args.out}")
+    return code
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

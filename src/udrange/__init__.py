@@ -21,7 +21,6 @@ from .estimator import (
 from .numtheory import MobiusTable, gcd_all, sieve_mobius, zeta_int
 from .ranging import (
     SPEED_OF_LIGHT_M_S,
-    PhaseVector,
     UdResult,
     compute_ud,
     phase_shifts,
@@ -31,7 +30,6 @@ from .spectrum import (
     FrequencyPlan,
     PlanError,
     Segment,
-    Selection,
     SelectionError,
     count_multiples,
     enumerate_indices,
@@ -44,12 +42,10 @@ from .spectrum import (
 __all__ = [
     "FrequencyPlan",
     "MobiusTable",
-    "PhaseVector",
     "PlanError",
     "ProbabilityEstimate",
     "SPEED_OF_LIGHT_M_S",
     "Segment",
-    "Selection",
     "SelectionError",
     "SweepRow",
     "UdResult",

@@ -4,8 +4,11 @@ Plan file format (JSON)::
 
     {"f_min_hz": 1000, "segments": [{"start_index": 54000, "count": 32768}, ...]}
 
-Exit codes: 0 ok, 1 verify failure, 2 plan parse error, 3 invalid selection,
-4 capability exceeded (plan too large to sieve).
+Exit codes: 0 ok, 1 verify failure, 2 bad arguments or plan parse error,
+3 invalid selection, 4 capability exceeded (plan too large to sieve).
+Argument errors exit 2 with a one-line message: -m, --select or --trials
+below 1, a negative --seed, M below 2 where 1/zeta(M) is asked (asymptotic,
+sweep), or exact or monte_carlo without --plan.
 """
 
 from __future__ import annotations
@@ -43,14 +46,30 @@ EXIT_CAPABILITY = 4
 METHODS = ("exact", "asymptotic", "monte_carlo")
 
 
+def _int_at_least(lo: int):
+    """argparse type for an integer no smaller than lo."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # a ValueError reads "invalid int value", as with type=int
+    return parse
+
+
 def _parse_m_range(text: str) -> range:
     try:
         lo, hi = text.split("..")
-        return range(int(lo), int(hi) + 1)
+        m_range = range(int(lo), int(hi) + 1)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(
             f"m-range must look like A..B, got {text!r}"
         ) from exc
+    if m_range.start < 2:
+        raise argparse.ArgumentTypeError(f"m-range must start at 2 or more: {text!r}")
+    return m_range
 
 
 def _write_out(text: str, out_path: str | None) -> None:
@@ -86,8 +105,7 @@ def _render_prob_json(m: int, estimates: list[ProbabilityEstimate]) -> str:
 def cmd_ud(args: argparse.Namespace) -> int:
     plan = load_plan(args.plan)
     if args.indices:
-        indices = [int(s) for s in args.indices.split(",")]
-        selection = selection_from_indices(plan, indices)
+        selection = selection_from_indices(plan, args.indices.split(","))
     elif args.select:
         rng = np.random.default_rng(np.random.SeedSequence([args.seed]))
         selection = sample_selection(plan, args.select, rng)
@@ -95,7 +113,7 @@ def cmd_ud(args: argparse.Namespace) -> int:
         raise SelectionError("provide --indices or --select")
     result = compute_ud(plan, selection)
     lines = [
-        f"indices = {','.join(str(k) for k in selection.indices)}",
+        f"indices = {','.join(str(k) for k in selection)}",
         f"gcd = {result.gcd_k}",
         f"ud_m = {result.ud_m!r}",
     ]
@@ -111,13 +129,13 @@ def cmd_prob(args: argparse.Namespace) -> int:
     for method in methods:
         if method not in METHODS:
             raise argparse.ArgumentTypeError(f"unknown method {method!r}")
-    needs_plan = any(m in methods for m in ("exact", "monte_carlo"))
-    plan = load_plan(args.plan) if needs_plan else None
-    if plan is None and args.plan:
-        plan = load_plan(args.plan)
-
+    plan = load_plan(args.plan) if args.plan else None
+    if plan is None and ("exact" in methods or "monte_carlo" in methods):
+        raise PlanError("--plan is required for the exact and monte_carlo methods")
     if "monte_carlo" in methods and not args.trials:
         raise argparse.ArgumentTypeError("--trials is required for monte_carlo")
+    if "asymptotic" in methods and args.m < 2:
+        raise argparse.ArgumentTypeError(f"asymptotic needs -m >= 2, got {args.m}")
     if "asymptotic" in methods and args.m == 2:
         print(
             "warning: m = 2 is outside the asymptotic error analysis regime "
@@ -187,7 +205,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    results = _selfcheck.run_checks(quick=args.quick, inject_fault=args.inject_fault)
+    results = _selfcheck.run_checks(quick=args.quick)
     for r in results:
         status = "PASS" if r.ok else "FAIL"
         detail = f": {r.detail}" if r.detail else ""
@@ -204,21 +222,24 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    positive, non_negative = _int_at_least(1), _int_at_least(0)
 
     p_ud = sub.add_parser("ud", help="UD of one selection of frequencies")
     p_ud.add_argument("--plan", required=True, help="plan JSON file")
     p_ud.add_argument("--indices", help="comma-separated grid indices")
-    p_ud.add_argument("--select", type=int, help="draw this many indices at random")
-    p_ud.add_argument("--seed", type=int, default=0)
+    p_ud.add_argument("--select", type=positive, help="draw this many indices at random")
+    p_ud.add_argument("--seed", type=non_negative, default=0)
     p_ud.add_argument("--out")
     p_ud.set_defaults(func=cmd_ud)
 
     p_prob = sub.add_parser("prob", help="probability that UD is maximal")
     p_prob.add_argument("--plan", help="plan JSON file")
-    p_prob.add_argument("-m", type=int, required=True, help="frequencies per measurement")
+    p_prob.add_argument(
+        "-m", type=positive, required=True, help="frequencies per measurement"
+    )
     p_prob.add_argument("--methods", default="exact,asymptotic")
-    p_prob.add_argument("--trials", type=int, default=0)
-    p_prob.add_argument("--seed", type=int, default=0)
+    p_prob.add_argument("--trials", type=positive)
+    p_prob.add_argument("--seed", type=non_negative, default=0)
     p_prob.add_argument("--workers", type=int, default=1)
     p_prob.add_argument("--format", choices=("text", "json"), default="text")
     p_prob.add_argument("--out")
@@ -227,8 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="(plan, M) sweep table for plotting")
     p_sweep.add_argument("--plan", action="append", required=True)
     p_sweep.add_argument("--m-range", type=_parse_m_range, required=True, dest="m_range")
-    p_sweep.add_argument("--trials", type=int, default=100_000)
-    p_sweep.add_argument("--seed", type=int, default=0)
+    p_sweep.add_argument("--trials", type=positive, default=100_000)
+    p_sweep.add_argument("--seed", type=non_negative, default=0)
     p_sweep.add_argument("--workers", type=int, default=1)
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     p_sweep.add_argument("--out")
@@ -236,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the built-in invariant checks")
     p_verify.add_argument("--quick", action="store_true")
-    p_verify.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     p_verify.set_defaults(func=cmd_verify)
     return parser
 

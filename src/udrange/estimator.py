@@ -120,80 +120,21 @@ def prob_montecarlo(
     plan: FrequencyPlan,
     m: int,
     trials: int,
-    seed: int,
+    seed: int | tuple[int, ...],
     workers: int = 1,
 ) -> ProbabilityEstimate:
     """Monte Carlo estimate of P over seeded with-replacement draws.
 
-    Trials are split into fixed-size blocks, each driven by a substream
-    derived from (seed, block index), so the result is bit-identical for any
-    worker count.
+    ``seed`` is a non-negative int or a tuple of them: the SeedSequence
+    entropy. Trials are split into fixed-size blocks, each driven by a
+    substream derived from (seed..., block index), so the result is
+    bit-identical for any worker count.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if seed < 0:
+    entropy = seed if isinstance(seed, tuple) else (seed,)
+    if any(s < 0 for s in entropy):
         raise ValueError(f"seed must be non-negative, got {seed}")
-    return _montecarlo_with_entropy(plan, m, trials, (seed,), workers)
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    """One (plan, M) cell of the reproduction sweep."""
-
-    n_segments: int
-    n_frequencies: int
-    m: int
-    exact: float
-    asymptotic: float
-    monte_carlo: float
-    std_error: float
-    trials: int
-    seed: int
-
-
-def _row_seed(master_seed: int, plan_idx: int, m: int) -> tuple[int, ...]:
-    # Per-row derived entropy keeps rows reproducible under any execution order.
-    return (master_seed, plan_idx, m)
-
-
-def sweep(
-    plans: Sequence[FrequencyPlan],
-    m_values: Iterable[int],
-    trials: int,
-    seed: int,
-    workers: int = 1,
-) -> list[SweepRow]:
-    """Exact, asymptotic and Monte Carlo estimates for every (plan, M) pair."""
-    rows = []
-    for plan_idx, plan in enumerate(plans):
-        for m in m_values:
-            exact = prob_exact(plan, m)
-            asym = prob_asymptotic(m)
-            mc_seed_entropy = _row_seed(seed, plan_idx, m)
-            mc = _montecarlo_with_entropy(plan, m, trials, mc_seed_entropy, workers)
-            rows.append(
-                SweepRow(
-                    n_segments=plan.n_segments,
-                    n_frequencies=plan.n_frequencies,
-                    m=m,
-                    exact=exact.value,
-                    asymptotic=asym.value,
-                    monte_carlo=mc.value,
-                    std_error=mc.std_error,
-                    trials=trials,
-                    seed=seed,
-                )
-            )
-    return rows
-
-
-def _montecarlo_with_entropy(
-    plan: FrequencyPlan,
-    m: int,
-    trials: int,
-    entropy: tuple[int, ...],
-    workers: int,
-) -> ProbabilityEstimate:
     blocks = [
         (b, min(MC_BLOCK_SIZE, trials - b * MC_BLOCK_SIZE))
         for b in range((trials + MC_BLOCK_SIZE - 1) // MC_BLOCK_SIZE)
@@ -216,3 +157,54 @@ def _montecarlo_with_entropy(
         trials=trials,
         std_error=sqrt(p_hat * (1.0 - p_hat) / trials),
     )
+
+
+@dataclass(frozen=True)
+class SweepRow:
+    """One (plan, M) cell of the reproduction sweep."""
+
+    n_segments: int
+    n_frequencies: int
+    m: int
+    exact: float
+    asymptotic: float
+    monte_carlo: float
+    std_error: float
+    trials: int
+    seed: int
+
+
+def sweep(
+    plans: Sequence[FrequencyPlan],
+    m_values: Iterable[int],
+    trials: int,
+    seed: int,
+    workers: int = 1,
+) -> list[SweepRow]:
+    """Exact, asymptotic and Monte Carlo estimates for every (plan, M) pair.
+
+    Row (plan_idx, M) runs prob_montecarlo with seed (seed, plan_idx, M),
+    which raises ValueError for trials < 1 or a negative seed.
+    """
+    rows = []
+    for plan_idx, plan in enumerate(plans):
+        for m in m_values:
+            exact = prob_exact(plan, m)
+            asym = prob_asymptotic(m)
+            # Per-row entropy keeps rows reproducible under any execution order.
+            mc = prob_montecarlo(plan, m, trials, (seed, plan_idx, m), workers)
+            rows.append(
+                SweepRow(
+                    n_segments=plan.n_segments,
+                    n_frequencies=plan.n_frequencies,
+                    m=m,
+                    exact=exact.value,
+                    asymptotic=asym.value,
+                    monte_carlo=mc.value,
+                    std_error=mc.std_error,
+                    trials=trials,
+                    seed=seed,
+                )
+            )
+    return rows
+

@@ -8,10 +8,7 @@ L-independence checks validate.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
-from .spectrum import FrequencyPlan, Segment, validate_plan
+from .spectrum import FrequencyPlan, validate_plan
 
 F_MIN_HZ = 1000.0
 BAND_FIRST_INDEX = 54_000  # 54 MHz on the 1 kHz grid
@@ -20,45 +17,20 @@ N_TOTAL = 2**15
 SEGMENT_COUNTS = (1, 7, 12)
 
 
-def make_plan(
-    n_segments: int,
-    n_total: int = N_TOTAL,
-    first_index: int = BAND_FIRST_INDEX,
-    last_index: int = BAND_LAST_INDEX,
-    f_min_hz: float = F_MIN_HZ,
-) -> FrequencyPlan:
+def make_plan(n_segments: int) -> FrequencyPlan:
     """Evenly spread n_segments near-equal-count segments across the band."""
-    base, rem = divmod(n_total, n_segments)
+    base, rem = divmod(N_TOTAL, n_segments)
     counts = [base + 1 if l < rem else base for l in range(n_segments)]
-    gap = ((last_index - first_index + 1) - n_total) // n_segments
+    gap = ((BAND_LAST_INDEX - BAND_FIRST_INDEX + 1) - N_TOTAL) // n_segments
     segments = []
-    start = first_index
+    start = BAND_FIRST_INDEX
     for count in counts:
-        segments.append(Segment(start=start, count=count))
+        segments.append({"start_index": start, "count": count})
         start += count + gap
-    return validate_plan(
-        FrequencyPlan(f_min_hz=f_min_hz, segments=tuple(segments))
-    )
+    return validate_plan({"f_min_hz": F_MIN_HZ, "segments": segments})
 
 
 def all_plans() -> tuple[FrequencyPlan, ...]:
     """The three bundled scenarios, L = 1, 7, 12."""
     return tuple(make_plan(L) for L in SEGMENT_COUNTS)
 
-
-def plan_filename(n_segments: int) -> str:
-    return f"fig1_L{n_segments}.json"
-
-
-def write_plan_files(directory: str | Path) -> list[Path]:
-    """Write the bundled plans as JSON files usable by the CLI."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for L in SEGMENT_COUNTS:
-        path = directory / plan_filename(L)
-        with open(path, "w") as fh:
-            json.dump(make_plan(L).to_dict(), fh, indent=2)
-            fh.write("\n")
-        paths.append(path)
-    return paths

@@ -25,10 +25,6 @@ class MobiusTable:
             raise IndexError(f"j={j} outside sieve range 1..{self.limit}")
         return int(self.values[j])
 
-    def mertens(self) -> int:
-        """Cumulative sum of mu(j) for j up to the limit."""
-        return int(self.values[1:].sum(dtype=np.int64))
-
 
 def sieve_mobius(limit: int) -> MobiusTable:
     """Sieve mu(j) for all j <= limit.

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .numtheory import gcd_all
-from .spectrum import FrequencyPlan, Selection
+from .spectrum import FrequencyPlan
 
 SPEED_OF_LIGHT_M_S = 299_792_458
 
@@ -23,30 +23,20 @@ class UdResult:
     is_max: bool
 
 
-@dataclass(frozen=True)
-class PhaseVector:
-    """Measured phase shifts, one per selected frequency, each in [0, 2*pi)."""
-
-    phases: tuple[float, ...]
-
-    def __len__(self) -> int:
-        return len(self.phases)
-
-
-def compute_ud(plan: FrequencyPlan, selection: Selection) -> UdResult:
+def compute_ud(plan: FrequencyPlan, selection: tuple[int, ...]) -> UdResult:
     """Unambiguous distance c / (k * f_min), k = gcd of the selected indices.
 
     The distance is the LCM of the selected wavelengths; a single-frequency
     selection degenerates to its own wavelength.
     """
-    k = gcd_all(selection.indices)
+    k = gcd_all(selection)
     ud = SPEED_OF_LIGHT_M_S / (k * plan.f_min_hz)
     return UdResult(gcd_k=k, ud_m=ud, is_max=(k == 1))
 
 
-def exact_ud_m(plan: FrequencyPlan, selection: Selection) -> Fraction:
+def exact_ud_m(plan: FrequencyPlan, selection: tuple[int, ...]) -> Fraction:
     """The unambiguous distance as an exact rational, for tight phase checks."""
-    k = gcd_all(selection.indices)
+    k = gcd_all(selection)
     return Fraction(SPEED_OF_LIGHT_M_S) / (k * Fraction(plan.f_min_hz))
 
 
@@ -60,10 +50,10 @@ def _phase(index: int, f_min_hz: float, distance: Fraction) -> float:
 
 def phase_shifts(
     plan: FrequencyPlan,
-    selection: Selection,
+    selection: tuple[int, ...],
     distance_m: float | int | Fraction,
-) -> PhaseVector:
-    """Phase shifts 2*pi*(k_i*f_min)*R/c mod 2*pi at distance R.
+) -> tuple[float, ...]:
+    """Phase shifts 2*pi*(k_i*f_min)*R/c mod 2*pi at distance R, one per index.
 
     Accepts the distance as a float or an exact Fraction; reduction modulo
     one cycle is done in exact rational arithmetic either way.
@@ -71,11 +61,7 @@ def phase_shifts(
     distance = Fraction(distance_m)
     if distance < 0:
         raise ValueError(f"distance must be non-negative, got {distance_m}")
-    return PhaseVector(
-        phases=tuple(
-            _phase(k, plan.f_min_hz, distance) for k in selection.indices
-        )
-    )
+    return tuple(_phase(k, plan.f_min_hz, distance) for k in selection)
 
 
 def circular_delta(a: float, b: float) -> float:
@@ -92,14 +78,14 @@ _PROBE_FRACTIONS = (
 )
 
 
-def _is_period(selection: Selection, gcd_k: int, q: Fraction) -> bool:
+def _is_period(selection: tuple[int, ...], gcd_k: int, q: Fraction) -> bool:
     # q*UD is a period iff every k_i * q / gcd_k is an integer.
-    return all((Fraction(k, gcd_k) * q).denominator == 1 for k in selection.indices)
+    return all((Fraction(k, gcd_k) * q).denominator == 1 for k in selection)
 
 
 def verify_ambiguity(
     plan: FrequencyPlan,
-    selection: Selection,
+    selection: tuple[int, ...],
     distance_m: float | int | Fraction,
     tol_rad: float,
 ) -> bool:
@@ -112,14 +98,14 @@ def verify_ambiguity(
     if tol_rad <= 0:
         raise ValueError(f"tol_rad must be positive, got {tol_rad}")
     distance = Fraction(distance_m)
-    gcd_k = gcd_all(selection.indices)
+    gcd_k = gcd_all(selection)
     ud = exact_ud_m(plan, selection)
 
     base = phase_shifts(plan, selection, distance)
     shifted = phase_shifts(plan, selection, distance + ud)
     if any(
         circular_delta(a, b) > tol_rad
-        for a, b in zip(base.phases, shifted.phases)
+        for a, b in zip(base, shifted)
     ):
         return False
 
@@ -129,7 +115,7 @@ def verify_ambiguity(
         probed = phase_shifts(plan, selection, distance + q * ud)
         if all(
             circular_delta(a, b) <= tol_rad
-            for a, b in zip(base.phases, probed.phases)
+            for a, b in zip(base, probed)
         ):
             return False
     return True

@@ -51,17 +51,8 @@ class FrequencyPlan:
         return sum(s.count for s in self.segments)
 
     @property
-    def first_index(self) -> int:
-        return self.segments[0].start
-
-    @property
     def last_index(self) -> int:
         return self.segments[-1].end
-
-    @property
-    def span(self) -> int:
-        """Number of grid points between first and last index, inclusive."""
-        return self.last_index - self.first_index + 1
 
     def contains_index(self, k: int) -> bool:
         for seg in self.segments:
@@ -69,35 +60,14 @@ class FrequencyPlan:
                 return True
         return False
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "f_min_hz": self.f_min_hz,
-            "segments": [
-                {"start_index": s.start, "count": s.count} for s in self.segments
-            ],
-        }
 
-
-@dataclass(frozen=True)
-class Selection:
-    """Ordered tuple of grid indices used in one measurement."""
-
-    indices: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-
-def validate_plan(raw: Mapping[str, Any] | FrequencyPlan) -> FrequencyPlan:
+def validate_plan(raw: Mapping[str, Any]) -> FrequencyPlan:
     """Build a validated FrequencyPlan from a raw description.
 
-    Accepts ``{"f_min_hz": number, "segments": [{"start_index", "count"}, ...]}``
-    (or an already-built plan, which is re-checked). Segments are sorted by
-    start index; overlaps, zero counts, zero start indices and non-positive
-    f_min are rejected.
+    Accepts ``{"f_min_hz": number, "segments": [{"start_index", "count"}, ...]}``.
+    Segments are sorted by start index; overlaps, zero counts, zero start
+    indices and non-positive f_min are rejected.
     """
-    if isinstance(raw, FrequencyPlan):
-        raw = raw.to_dict()
     try:
         f_min = float(raw["f_min_hz"])
         raw_segments = raw["segments"]
@@ -111,10 +81,7 @@ def validate_plan(raw: Mapping[str, Any] | FrequencyPlan) -> FrequencyPlan:
     segments = []
     for i, rs in enumerate(raw_segments):
         try:
-            if isinstance(rs, Segment):
-                start, count = rs.start, rs.count
-            else:
-                start, count = int(rs["start_index"]), int(rs["count"])
+            start, count = int(rs["start_index"]), int(rs["count"])
         except (KeyError, TypeError, ValueError) as exc:
             raise PlanError(f"segment {i} is malformed: {rs!r}") from exc
         if start < 1:
@@ -192,22 +159,28 @@ def sample_selection_batch(
 
 def sample_selection(
     plan: FrequencyPlan, m: int, rng: np.random.Generator
-) -> Selection:
+) -> tuple[int, ...]:
     """Draw one selection of m indices, uniform with replacement."""
     row = sample_selection_batch(plan, m, 1, rng)[0]
-    return Selection(indices=tuple(int(k) for k in row))
+    return tuple(int(k) for k in row)
 
 
 def selection_from_indices(
-    plan: FrequencyPlan, indices: Sequence[int]
-) -> Selection:
-    """Build a Selection, checking every index against the plan's segments."""
+    plan: FrequencyPlan, indices: Sequence[int | str]
+) -> tuple[int, ...]:
+    """The indices as ints, each checked against the plan's segments.
+
+    Raises SelectionError if empty, or for a non-integer or out-of-plan entry.
+    """
     if not indices:
         raise SelectionError("selection must contain at least one index")
     checked = []
     for k in indices:
-        k = int(k)
+        try:
+            k = int(k)
+        except ValueError:
+            raise SelectionError(f"index {k!r} is not an integer") from None
         if not plan.contains_index(k):
             raise SelectionError(f"index {k} is not in the plan's index set")
         checked.append(k)
-    return Selection(indices=tuple(checked))
+    return tuple(checked)

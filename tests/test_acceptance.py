@@ -133,14 +133,14 @@ def test_criterion_6_ud_periodicity(fig1_plans):
             shifted = phase_shifts(plan, sel, r + ud)
             if any(
                 circular_delta(a, b) > 1e-9
-                for a, b in zip(base.phases, shifted.phases)
+                for a, b in zip(base, shifted)
             ):
                 periodic_ok = False
-            if math.gcd(*sel.indices) == 1:
+            if math.gcd(*sel) == 1:
                 half = phase_shifts(plan, sel, r + ud / 2)
                 if any(
                     circular_delta(a, b) > 0.1
-                    for a, b in zip(base.phases, half.phases)
+                    for a, b in zip(base, half)
                 ):
                     half_breaks += 1
     ok = periodic_ok and half_breaks >= 95 * len(fig1_plans)

@@ -4,17 +4,17 @@ import sys
 
 import pytest
 
-from udrange import fig1
+from udrange import _selfcheck, fig1
 from udrange.cli import main
 
-from .conftest import PLAN_DIR
+from .conftest import PLAN_DIR, REPO_ROOT
+
+L1_PLAN = str(PLAN_DIR / "fig1_L1.json")
 
 
 @pytest.fixture(scope="module")
-def plan_files(tmp_path_factory):
-    directory = tmp_path_factory.mktemp("plans")
-    paths = fig1.write_plan_files(directory)
-    return {p.name: str(p) for p in paths}
+def plan_files():
+    return {p.name: str(p) for p in PLAN_DIR.glob("fig1_L*.json")}
 
 
 @pytest.fixture
@@ -186,6 +186,21 @@ class TestSweepCommand:
         assert first.returncode == 0
         assert first.stdout == second.stdout == parallel.stdout
 
+    def test_reproduce_fig1_script_matches_sweep(self, tmp_path):
+        script_csv, sweep_csv = tmp_path / "script.csv", tmp_path / "sweep.csv"
+        script = REPO_ROOT / "scripts" / "reproduce_fig1.py"
+        proc = subprocess.run(
+            [sys.executable, str(script), "--trials", "4096", "--out", str(script_csv)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        argv = ["sweep", "--m-range", "3..13", "--trials", "4096", "--seed", "2014"]
+        for L in (1, 7, 12):
+            argv += ["--plan", str(PLAN_DIR / f"fig1_L{L}.json")]
+        assert main(argv + ["--out", str(sweep_csv)]) == 0
+        assert script_csv.read_bytes() == sweep_csv.read_bytes()
+
 
 class TestVerifyCommand:
     def test_quick_passes(self, capsys):
@@ -195,25 +210,67 @@ class TestVerifyCommand:
         assert "FAIL" not in out
         assert out.count("PASS") >= 5
 
-    def test_injected_fault_fails(self, capsys):
-        code = main(["verify", "--quick", "--inject-fault"])
+    def test_injected_fault_fails(self, capsys, monkeypatch):
+        failing = _selfcheck.CheckResult("gcd_known_values", False, "forced")
+        monkeypatch.setattr(_selfcheck, "_check_gcd", lambda: failing)
+        code = main(["verify", "--quick"])
         out = capsys.readouterr().out
         assert code == 1
-        assert "FAIL injected_fault" in out
+        assert "FAIL gcd_known_values: forced" in out
 
 
 class TestBundledPlans:
     def test_files_exist_and_match_construction(self):
         for L in (1, 7, 12):
-            path = PLAN_DIR / fig1.plan_filename(L)
+            path = PLAN_DIR / f"fig1_L{L}.json"
             assert path.exists(), f"missing bundled plan {path}"
             raw = json.loads(path.read_text())
-            assert raw == fig1.make_plan(L).to_dict()
+            plan = fig1.make_plan(L)
+            assert raw == {
+                "f_min_hz": plan.f_min_hz,
+                "segments": [
+                    {"start_index": s.start, "count": s.count} for s in plan.segments
+                ],
+            }
 
     def test_band_and_size_invariants(self):
         for L, plan in zip((1, 7, 12), fig1.all_plans()):
             assert plan.n_segments == L
             assert plan.n_frequencies == 2**15
             assert plan.f_min_hz == 1000.0
-            assert plan.first_index >= 54_000
+            assert plan.segments[0].start >= 54_000
             assert plan.last_index <= 862_000
+
+
+def exit_code(argv):
+    """cli.main's exit status, whether it returns or argparse exits."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+# Bad user input: each must exit 2 or 3 with a message, never a traceback.
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["prob", "-m", "0"], 2),
+        (["prob", "-m", "1", "--methods", "asymptotic"], 2),
+        (["prob", "-m", "3", "--methods", "exact"], 2),
+        (["prob", "-m", "3", "--methods", "monte_carlo", "--trials", "10"], 2),
+        (["prob", "--plan", L1_PLAN, "-m", "3", "--methods", "monte_carlo",
+          "--trials", "10", "--seed", "-1"], 2),
+        (["ud", "--plan", L1_PLAN, "--indices", "54000,x"], 3),
+        (["ud", "--plan", L1_PLAN, "--select", "-2"], 2),
+        (["ud", "--plan", L1_PLAN, "--select", "2", "--seed", "-1"], 2),
+        (["sweep", "--plan", L1_PLAN, "--m-range", "3..3", "--trials", "0"], 2),
+        (["sweep", "--plan", L1_PLAN, "--m-range", "3..3", "--seed", "-1"], 2),
+        (["sweep", "--plan", L1_PLAN, "--m-range", "0..3"], 2),
+        (["sweep", "--plan", L1_PLAN, "--m-range", "1..3"], 2),
+    ],
+)
+def test_bad_arguments_exit_without_traceback(argv, expected, capsys):
+    # An exception escaping main is what the user would see as a traceback.
+    assert exit_code(argv) == expected
+    err = capsys.readouterr().err
+    assert "error" in err and "Traceback" not in err

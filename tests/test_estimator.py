@@ -140,6 +140,14 @@ class TestSweep:
         b = sweep([fig1_plan_l1], range(3, 6), trials=5_000, seed=42)
         assert a == b
 
+    @pytest.mark.parametrize(
+        "trials, seed, message",
+        [(0, 1, "trials must be >= 1"), (10, -1, "seed must be non-negative")],
+    )
+    def test_rejects_bad_trials_and_seed(self, trials, seed, message):
+        with pytest.raises(ValueError, match=message):
+            sweep([make_plan([(1, 10)])], range(3, 4), trials=trials, seed=seed)
+
     def test_exact_column_matches_enumeration(self):
         plan = make_plan([(1, 100)])
         rows = sweep([plan], range(3, 4), trials=10_000, seed=1)
