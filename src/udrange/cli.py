@@ -8,7 +8,8 @@ Exit codes: 0 ok, 1 verify failure, 2 bad arguments or plan parse error,
 3 invalid selection, 4 capability exceeded (plan too large to sieve).
 Argument errors exit 2 with a one-line message: -m, --select or --trials
 below 1, a negative --seed, M below 2 where 1/zeta(M) is asked (asymptotic,
-sweep), or exact or monte_carlo without --plan.
+sweep), exact or monte_carlo without --plan, or a UD_SIEVE_LIMIT that is not
+an integer >= 1 when an exact probability is computed.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from . import _selfcheck
 from .estimator import (
     ProbabilityEstimate,
     SieveLimitError,
+    SieveLimitSettingError,
     prob_asymptotic,
     prob_exact,
     prob_montecarlo,
@@ -266,7 +268,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except PlanError as exc:
+    except (PlanError, SieveLimitSettingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PLAN_ERROR
     except SelectionError as exc:

@@ -31,9 +31,23 @@ class SieveLimitError(RuntimeError):
     """Plan's largest index exceeds the configured Mobius sieve limit."""
 
 
+class SieveLimitSettingError(ValueError):
+    """UD_SIEVE_LIMIT is set to something other than an integer >= 1."""
+
+
 def sieve_limit() -> int:
     raw = os.environ.get(SIEVE_LIMIT_ENV)
-    return int(raw) if raw else DEFAULT_SIEVE_LIMIT
+    if not raw:
+        return DEFAULT_SIEVE_LIMIT
+    try:
+        limit = int(raw)
+    except ValueError:
+        limit = 0
+    if limit < 1:
+        raise SieveLimitSettingError(
+            f"{SIEVE_LIMIT_ENV} must be an integer >= 1, got {raw!r}"
+        )
+    return limit
 
 
 @dataclass(frozen=True)
@@ -57,19 +71,15 @@ def _coprimality_weights(plan: FrequencyPlan) -> tuple[tuple[int, int], ...]:
     indices divisible by j. Returns pairs (v, sum of mu(j) over j with
     x_j = v), so that Z = sum_v w_v * v^M for every M. x_j = 0 beyond the
     largest index, so the cutoff is exact, and grouping by value keeps the
-    big-integer sum short.
+    big-integer sum short. Only squarefree j (mu(j) != 0) are counted.
     """
-    k_max = plan.last_index
-    mob = sieve_mobius(k_max)
-    x = count_multiples_upto(plan, k_max)
-    mu = mob.values[1:].astype(np.int64)
-    mask = (mu != 0) & (x > 0)
-    weights = np.bincount(x[mask], weights=mu[mask].astype(np.float64))
+    mu = sieve_mobius(plan.last_index).values
+    j = np.flatnonzero(mu)
+    x = count_multiples_upto(plan, j)
+    hit = x > 0
+    weights = np.bincount(x[hit], weights=mu[j[hit]])
     # Each bin is a sum of +/-1 terms, far below 2**53: the float sums are exact.
-    out = []
-    for v in np.nonzero(weights)[0]:
-        out.append((int(v), int(weights[v])))
-    return tuple(out)
+    return tuple((int(v), int(weights[v])) for v in np.flatnonzero(weights))
 
 
 def prob_exact(plan: FrequencyPlan, m: int) -> ProbabilityEstimate:
@@ -78,14 +88,16 @@ def prob_exact(plan: FrequencyPlan, m: int) -> ProbabilityEstimate:
     The alternating sum cancels catastrophically in floating point and N^M
     overflows fixed-width types, so everything stays integer until the final
     rounding. Raises SieveLimitError when the plan's largest index exceeds
-    the sieve limit (default 10^7, override via UD_SIEVE_LIMIT).
+    the sieve limit (default 10^7, override via UD_SIEVE_LIMIT), and
+    SieveLimitSettingError when UD_SIEVE_LIMIT is not an integer >= 1.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    if plan.last_index > sieve_limit():
+    limit = sieve_limit()
+    if plan.last_index > limit:
         raise SieveLimitError(
             f"largest plan index {plan.last_index} exceeds sieve limit "
-            f"{sieve_limit()} (set {SIEVE_LIMIT_ENV} to raise it)"
+            f"{limit} (set {SIEVE_LIMIT_ENV} to raise it)"
         )
     z = sum(w * v**m for v, w in _coprimality_weights(plan))
     denom = plan.n_frequencies**m

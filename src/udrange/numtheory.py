@@ -29,25 +29,32 @@ class MobiusTable:
 def sieve_mobius(limit: int) -> MobiusTable:
     """Sieve mu(j) for all j <= limit.
 
-    Marks every multiple of each prime with a sign flip and zeroes multiples
-    of squared primes; O(limit log log limit) with flat int8 storage.
+    Only the primes p <= sqrt(limit) are sieved: each flips the sign of mu on
+    its multiples, zeroes mu on multiples of p^2 and multiplies ``prod`` by p
+    on its multiples. A squarefree j <= limit has at most one prime factor
+    above sqrt(limit), and has one exactly when ``prod[j] < j``, so one
+    vectorised step supplies that factor's sign (mu is already 0 at every
+    other j with ``prod[j] < j``). That is O(sqrt(limit) / log limit)
+    Python-level steps and O(limit log log limit) array work, with flat int8
+    storage.
     """
     if limit < 1:
         raise ValueError(f"sieve limit must be >= 1, got {limit}")
     mu = np.ones(limit + 1, dtype=np.int8)
     mu[0] = 0
-    if limit >= 2:
-        is_prime = np.ones(limit + 1, dtype=bool)
-        is_prime[:2] = False
-        for p in range(2, math.isqrt(limit) + 1):
-            if is_prime[p]:
-                is_prime[p * p :: p] = False
-        for p in np.nonzero(is_prime)[0]:
-            p = int(p)
-            mu[p::p] *= -1
-            sq = p * p
-            if sq <= limit:
-                mu[sq::sq] = 0
+    root = math.isqrt(limit)
+    is_prime = np.ones(root + 1, dtype=bool)
+    is_prime[:2] = False
+    for p in range(2, math.isqrt(root) + 1):
+        if is_prime[p]:
+            is_prime[p * p :: p] = False
+    prod = np.ones(limit + 1, dtype=np.int64)
+    for p in np.flatnonzero(is_prime):
+        p = int(p)
+        mu[p::p] *= -1
+        mu[p * p :: p * p] = 0
+        prod[p::p] *= p
+    mu[prod < np.arange(limit + 1)] *= -1
     return MobiusTable(limit=limit, values=mu)
 
 

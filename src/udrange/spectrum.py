@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterator, Mapping, Sequence
@@ -65,25 +67,41 @@ def validate_plan(raw: Mapping[str, Any]) -> FrequencyPlan:
     """Build a validated FrequencyPlan from a raw description.
 
     Accepts ``{"f_min_hz": number, "segments": [{"start_index", "count"}, ...]}``.
-    Segments are sorted by start index; overlaps, zero counts, zero start
-    indices and non-positive f_min are rejected.
+    Segments are sorted by start index. f_min must be a finite positive
+    number and both segment fields integers; bools, strings, fractional or
+    non-finite values, overlaps, zero counts and zero start indices are
+    rejected, never coerced.
     """
     try:
-        f_min = float(raw["f_min_hz"])
+        f_min = raw["f_min_hz"]
         raw_segments = raw["segments"]
     except (KeyError, TypeError) as exc:
         raise PlanError(f"plan is missing required field: {exc}") from exc
-    if not f_min > 0:
-        raise PlanError(f"f_min_hz must be positive, got {f_min}")
+    if isinstance(f_min, bool) or not isinstance(f_min, numbers.Real):
+        raise PlanError(f"f_min_hz must be a number, got {f_min!r}")
+    try:
+        f_min = float(f_min)
+    except OverflowError:
+        f_min = math.inf
+    if not 0 < f_min < math.inf:
+        raise PlanError(f"f_min_hz must be finite and positive, got {f_min}")
+    if not isinstance(raw_segments, (list, tuple)):
+        raise PlanError(f"segments must be a list, got {raw_segments!r}")
     if not raw_segments:
         raise PlanError("plan must contain at least one segment")
 
     segments = []
     for i, rs in enumerate(raw_segments):
         try:
-            start, count = int(rs["start_index"]), int(rs["count"])
-        except (KeyError, TypeError, ValueError) as exc:
+            start, count = rs["start_index"], rs["count"]
+        except (KeyError, TypeError) as exc:
             raise PlanError(f"segment {i} is malformed: {rs!r}") from exc
+        for name, value in (("start_index", start), ("count", count)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise PlanError(
+                    f"segment {i}: {name} must be an integer, got {value!r}"
+                )
+        start, count = int(start), int(count)
         if start < 1:
             raise PlanError(f"segment {i}: start_index must be >= 1, got {start}")
         if count < 1:
@@ -117,12 +135,16 @@ def count_multiples(plan: FrequencyPlan, j: int) -> int:
     return sum(s.end // j - (s.start - 1) // j for s in plan.segments)
 
 
-def count_multiples_upto(plan: FrequencyPlan, j_max: int) -> np.ndarray:
-    """Vectorized count_multiples for j = 1..j_max; entry [j-1] is x_j."""
-    j = np.arange(1, j_max + 1, dtype=np.int64)
-    x = np.zeros(j_max, dtype=np.int64)
+def count_multiples_upto(plan: FrequencyPlan, j: np.ndarray) -> np.ndarray:
+    """Vectorized count_multiples over an int64 array of j >= 1.
+
+    Entry [i] is x_{j[i]}, the number of plan indices divisible by j[i]. The
+    exact method passes only the squarefree j <= K, where mu(j) != 0.
+    """
+    x = np.zeros(len(j), dtype=np.int64)
     for s in plan.segments:
-        x += s.end // j - (s.start - 1) // j
+        x += s.end // j
+        x -= (s.start - 1) // j
     return x
 
 

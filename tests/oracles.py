@@ -1,7 +1,9 @@
 """Independent reference computations used only by the tests.
 
 Everything here deliberately avoids the code paths under test: mu comes from
-sympy, zeta from mpmath, tuple counting from plain itertools + math.gcd.
+sympy, zeta from mpmath, tuple counting from plain itertools + math.gcd, and
+the exact method's weights from a plain sieve over every prime with full-range
+multiple counts.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import math
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import sympy
 
 from udrange.spectrum import FrequencyPlan, enumerate_indices
@@ -57,3 +60,32 @@ def setwise_coprime_scan(values: tuple[int, ...]) -> bool:
     """Common-divisor scan: no d >= 2 divides every value."""
     upper = min(values)
     return not any(all(v % d == 0 for v in values) for d in range(2, upper + 1))
+
+
+def mobius_all_primes(limit: int) -> np.ndarray:
+    """mu(0..limit) as int8: a sign flip on the multiples of every prime <= limit."""
+    mu = np.ones(limit + 1, dtype=np.int8)
+    mu[0] = 0
+    is_prime = np.ones(limit + 1, dtype=bool)
+    is_prime[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if is_prime[p]:
+            is_prime[p * p :: p] = False
+    for p in np.flatnonzero(is_prime):
+        p = int(p)
+        mu[p::p] *= -1
+        mu[p * p :: p * p] = 0
+    return mu
+
+
+def coprimality_weights_ref(plan: FrequencyPlan) -> tuple[tuple[int, int], ...]:
+    """Pairs (v, sum of mu(j) over j <= K with x_j = v), x_j counted for every j."""
+    k_max = plan.last_index
+    mu = mobius_all_primes(k_max)[1:].astype(np.int64)
+    j = np.arange(1, k_max + 1, dtype=np.int64)
+    x = np.zeros(k_max, dtype=np.int64)
+    for s in plan.segments:
+        x += s.end // j - (s.start - 1) // j
+    mask = (mu != 0) & (x > 0)
+    weights = np.bincount(x[mask], weights=mu[mask].astype(np.float64))
+    return tuple((int(v), int(weights[v])) for v in np.flatnonzero(weights))

@@ -71,6 +71,23 @@ class TestUdCommand:
         assert main(["ud", "--plan", bad_plan_file, "--indices", "10"]) == 2
         assert "overlap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"f_min_hz": 1e400, "segments": [{"start_index": 5, "count": 4}]}',
+            '{"f_min_hz": 1000, "segments": [{"start_index": 5.9, "count": 4}]}',
+            '{"f_min_hz": 1000, "segments": [{"start_index": 5, "count": true}]}',
+            '{"f_min_hz": 1000, "segments": [{"start_index": "5", "count": 4}]}',
+        ],
+    )
+    def test_coerced_plan_field_exit_code(self, text, tmp_path, capsys):
+        # Each of these plans used to load, with a truncated, cast or infinite field.
+        path = tmp_path / "plan.json"
+        path.write_text(text)
+        assert main(["ud", "--plan", str(path), "--indices", "5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_outside_plan_exit_code(self, plan_files):
         code = main(
             ["ud", "--plan", plan_files["fig1_L1.json"], "--indices", "1,2"]
@@ -147,6 +164,16 @@ class TestProbCommand:
             ["prob", "--plan", plan_files["fig1_L1.json"], "-m", "3", "--methods", "exact"]
         )
         assert code == 4
+
+    @pytest.mark.parametrize("value", ["abc", "1e7", "0", "-5"])
+    def test_bad_sieve_limit_setting(self, value, monkeypatch, capsys):
+        monkeypatch.setenv("UD_SIEVE_LIMIT", value)
+        code = main(["prob", "--plan", L1_PLAN, "-m", "3"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: UD_SIEVE_LIMIT") and err.count("\n") == 1
+        # Only the exact method reads the setting.
+        assert main(["prob", "-m", "3", "--methods", "asymptotic"]) == 0
 
 
 class TestSweepCommand:

@@ -4,9 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from udrange.estimator import (
     SieveLimitError,
+    _coprimality_weights,
     prob_asymptotic,
     prob_exact,
     prob_montecarlo,
@@ -14,7 +16,7 @@ from udrange.estimator import (
 )
 
 from .conftest import make_plan, small_plans
-from .oracles import coprime_fraction_brute, zeta_ref
+from .oracles import coprime_fraction_brute, coprimality_weights_ref, zeta_ref
 
 
 def exact_fraction(estimate) -> Fraction:
@@ -55,6 +57,34 @@ class TestProbExact:
             assert exact_fraction(prob_exact(plan, m)) == coprime_fraction_brute(
                 plan, m
             )
+
+
+@st.composite
+def wide_plans(draw, k_max=100_000, max_segments=6):
+    """Plans of up to max_segments segments with every index in 1..k_max."""
+    bounds = sorted(
+        draw(
+            st.lists(
+                st.integers(1, k_max),
+                min_size=2,
+                max_size=2 * max_segments,
+                unique=True,
+            )
+        )
+    )
+    pairs = zip(bounds[0::2], bounds[1::2])
+    return make_plan([(a, b - a + 1) for a, b in pairs])
+
+
+class TestCoprimalityWeights:
+    def test_fig1_plans_match_reference(self, fig1_plans):
+        for plan in fig1_plans:
+            assert _coprimality_weights(plan) == coprimality_weights_ref(plan)
+
+    @given(plan=wide_plans())
+    @settings(max_examples=30, deadline=None)
+    def test_wide_plans_match_reference(self, plan):
+        assert _coprimality_weights(plan) == coprimality_weights_ref(plan)
 
 
 class TestProbAsymptotic:

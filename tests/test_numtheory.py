@@ -1,5 +1,7 @@
+import functools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,12 @@ from hypothesis import strategies as st
 from udrange.numtheory import gcd_all, sieve_mobius, zeta_int
 
 from .oracles import is_prime_trial_division, mobius_ref, zeta_ref
+
+
+@functools.lru_cache(maxsize=None)
+def mobius_ref_table(limit: int) -> np.ndarray:
+    """mu(0..limit) from the reference, laid out like MobiusTable.values."""
+    return np.array([0] + [mobius_ref(j) for j in range(1, limit + 1)], dtype=np.int8)
 
 
 class TestSieveMobius:
@@ -31,6 +39,20 @@ class TestSieveMobius:
         table = sieve_mobius(10_000)
         for j in range(1, 10_001):
             assert table[j] == mobius_ref(j), f"mu({j})"
+
+    def test_matches_reference_at_every_small_limit(self):
+        # Limits 2 and 3 have no prime at or below sqrt(limit).
+        ref = mobius_ref_table(400)
+        for limit in range(1, 401):
+            np.testing.assert_array_equal(sieve_mobius(limit).values, ref[: limit + 1])
+
+    @pytest.mark.parametrize("p", [31, 61, 97])
+    def test_matches_reference_around_a_prime_square(self, p):
+        # p^2 - 1, p^2 and p^2 + 1 put p just above, at and just below sqrt(limit).
+        sq = p * p
+        ref = mobius_ref_table(97 * 97 + 1)
+        for limit in (sq - 1, sq, sq + 1):
+            np.testing.assert_array_equal(sieve_mobius(limit).values, ref[: limit + 1])
 
     def test_divisor_sum_identity(self):
         # sum over d | n of mu(d) is 1 at n = 1 and 0 for n > 1

@@ -47,11 +47,28 @@ class TestValidatePlan:
             {"f_min_hz": 1000, "segments": [{"start_index": 5, "count": 0}]},
             {"f_min_hz": 1000, "segments": [{"start": 5}]},
             {"segments": [{"start_index": 5, "count": 1}]},
+            # Fields of the wrong type are rejected, never coerced.
+            {"f_min_hz": 1000, "segments": [{"start_index": 5.9, "count": 1}]},
+            {"f_min_hz": 1000, "segments": [{"start_index": 5.0, "count": 1}]},
+            {"f_min_hz": 1000, "segments": [{"start_index": 5, "count": True}]},
+            {"f_min_hz": 1000, "segments": [{"start_index": "5", "count": 1}]},
+            {"f_min_hz": 1000, "segments": [{"start_index": 5, "count": "3"}]},
+            {"f_min_hz": float("inf"), "segments": [{"start_index": 5, "count": 1}]},
+            {"f_min_hz": float("nan"), "segments": [{"start_index": 5, "count": 1}]},
+            {"f_min_hz": 10**400, "segments": [{"start_index": 5, "count": 1}]},
+            {"f_min_hz": "1000", "segments": [{"start_index": 5, "count": 1}]},
+            {"f_min_hz": True, "segments": [{"start_index": 5, "count": 1}]},
+            {"f_min_hz": 1000, "segments": 5},
+            {"f_min_hz": 1000, "segments": [None]},
         ],
     )
     def test_rejects_malformed(self, raw):
         with pytest.raises(PlanError):
             validate_plan(raw)
+
+    def test_accepts_integer_and_float_f_min(self):
+        for f_min in (1000, 1000.0, 2.5):
+            assert make_plan([(5, 1)], f_min_hz=f_min).f_min_hz == float(f_min)
 
     def test_normalizes_segment_order(self):
         plan = validate_plan(
@@ -106,7 +123,7 @@ class TestCountMultiples:
 
     def test_vectorized_agrees_with_scalar(self):
         plan = make_plan([(9, 14), (60, 21)])
-        x = count_multiples_upto(plan, plan.last_index)
+        x = count_multiples_upto(plan, np.arange(1, plan.last_index + 1))
         for j in range(1, plan.last_index + 1):
             assert x[j - 1] == count_multiples(plan, j)
 
