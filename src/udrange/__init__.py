@@ -6,17 +6,15 @@ Library layout:
 - ``spectrum`` — segmented frequency plans and the induced index set
 - ``ranging`` — phase-shift model and UD = c / (gcd * f_min)
 - ``estimator`` — exact / asymptotic / Monte Carlo probability of maximal UD
-- ``cli`` — `udrange` command-line driver
+- ``cli`` — `udrange` command-line driver and the (plan, M) sweep table
 - ``fig1`` — bundled 54-862 MHz, N = 2^15 simulation scenarios
 """
 
 from .estimator import (
     ProbabilityEstimate,
-    SweepRow,
     prob_asymptotic,
     prob_exact,
     prob_montecarlo,
-    sweep,
 )
 from .numtheory import MobiusTable, gcd_all, sieve_mobius, zeta_int
 from .ranging import (
@@ -47,7 +45,6 @@ __all__ = [
     "SPEED_OF_LIGHT_M_S",
     "Segment",
     "SelectionError",
-    "SweepRow",
     "UdResult",
     "compute_ud",
     "count_multiples",
@@ -61,7 +58,6 @@ __all__ = [
     "sample_selection",
     "selection_from_indices",
     "sieve_mobius",
-    "sweep",
     "validate_plan",
     "verify_ambiguity",
     "zeta_int",

@@ -6,10 +6,12 @@ Plan file format (JSON)::
 
 Exit codes: 0 ok, 1 verify failure, 2 bad arguments or plan parse error,
 3 invalid selection, 4 capability exceeded (plan too large to sieve).
-Argument errors exit 2 with a one-line message: -m, --select or --trials
-below 1, a negative --seed, M below 2 where 1/zeta(M) is asked (asymptotic,
-sweep), exact or monte_carlo without --plan, or a UD_SIEVE_LIMIT that is not
-an integer >= 1 when an exact probability is computed.
+Argument errors exit 2 with a one-line message: -m, --select, --trials or
+--workers below 1, a negative --seed, M below 2 where 1/zeta(M) is asked
+(asymptotic, sweep), exact or monte_carlo without --plan, an --out path that
+cannot be written, or a UD_SIEVE_LIMIT that is not an integer >= 1 when an
+exact probability is computed. ``ud`` takes exactly one of --indices and
+--select; argparse reports a breach with its usage line and exit 2.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .estimator import (
     prob_asymptotic,
     prob_exact,
     prob_montecarlo,
-    sweep,
 )
 from .ranging import compute_ud
 from .spectrum import (
@@ -106,13 +107,11 @@ def _render_prob_json(m: int, estimates: list[ProbabilityEstimate]) -> str:
 
 def cmd_ud(args: argparse.Namespace) -> int:
     plan = load_plan(args.plan)
-    if args.indices:
+    if args.indices is not None:
         selection = selection_from_indices(plan, args.indices.split(","))
-    elif args.select:
+    else:
         rng = np.random.default_rng(np.random.SeedSequence([args.seed]))
         selection = sample_selection(plan, args.select, rng)
-    else:
-        raise SelectionError("provide --indices or --select")
     result = compute_ud(plan, selection)
     lines = [
         f"indices = {','.join(str(k) for k in selection)}",
@@ -174,33 +173,34 @@ def cmd_prob(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+SWEEP_COLUMNS = (
+    "L", "N", "M", "P_exact", "P_asymptotic", "P_mc", "stderr", "trials", "seed"
+)
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     plans = [load_plan(p) for p in args.plan]
-    rows = sweep(plans, args.m_range, args.trials, args.seed, workers=args.workers)
+    rows = []
+    for plan_idx, plan in enumerate(plans):
+        for m in args.m_range:
+            exact = prob_exact(plan, m)
+            asym = prob_asymptotic(m)
+            # Per-row entropy keeps rows reproducible under any execution order.
+            mc = prob_montecarlo(
+                plan, m, args.trials, (args.seed, plan_idx, m), args.workers
+            )
+            rows.append(
+                (plan.n_segments, plan.n_frequencies, m, exact.value, asym.value,
+                 mc.value, mc.std_error, args.trials, args.seed)
+            )
     if args.format == "json":
-        payload = [
-            {
-                "L": r.n_segments,
-                "N": r.n_frequencies,
-                "M": r.m,
-                "P_exact": r.exact,
-                "P_asymptotic": r.asymptotic,
-                "P_mc": r.monte_carlo,
-                "stderr": r.std_error,
-                "trials": r.trials,
-                "seed": r.seed,
-            }
-            for r in rows
-        ]
+        payload = [dict(zip(SWEEP_COLUMNS, row)) for row in rows]
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
-        lines = ["L,N,M,P_exact,P_asymptotic,P_mc,stderr,trials,seed"]
-        for r in rows:
-            lines.append(
-                f"{r.n_segments},{r.n_frequencies},{r.m},"
-                f"{r.exact:.10f},{r.asymptotic:.10f},{r.monte_carlo:.10f},"
-                f"{r.std_error:.10f},{r.trials},{r.seed}"
-            )
+        lines = [",".join(SWEEP_COLUMNS)] + [
+            ",".join(f"{v:.10f}" if isinstance(v, float) else str(v) for v in row)
+            for row in rows
+        ]
         text = "\n".join(lines) + "\n"
     _write_out(text, args.out)
     return EXIT_OK
@@ -228,8 +228,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ud = sub.add_parser("ud", help="UD of one selection of frequencies")
     p_ud.add_argument("--plan", required=True, help="plan JSON file")
-    p_ud.add_argument("--indices", help="comma-separated grid indices")
-    p_ud.add_argument("--select", type=positive, help="draw this many indices at random")
+    pick = p_ud.add_mutually_exclusive_group(required=True)
+    pick.add_argument("--indices", help="comma-separated grid indices")
+    pick.add_argument("--select", type=positive, help="draw this many indices at random")
     p_ud.add_argument("--seed", type=non_negative, default=0)
     p_ud.add_argument("--out")
     p_ud.set_defaults(func=cmd_ud)
@@ -242,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_prob.add_argument("--methods", default="exact,asymptotic")
     p_prob.add_argument("--trials", type=positive)
     p_prob.add_argument("--seed", type=non_negative, default=0)
-    p_prob.add_argument("--workers", type=int, default=1)
+    p_prob.add_argument("--workers", type=positive, default=1)
     p_prob.add_argument("--format", choices=("text", "json"), default="text")
     p_prob.add_argument("--out")
     p_prob.set_defaults(func=cmd_prob)
@@ -252,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--m-range", type=_parse_m_range, required=True, dest="m_range")
     p_sweep.add_argument("--trials", type=positive, default=100_000)
     p_sweep.add_argument("--seed", type=non_negative, default=0)
-    p_sweep.add_argument("--workers", type=int, default=1)
+    p_sweep.add_argument("--workers", type=positive, default=1)
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     p_sweep.add_argument("--out")
     p_sweep.set_defaults(func=cmd_sweep)
@@ -268,7 +269,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (PlanError, SieveLimitSettingError) as exc:
+    except (PlanError, SieveLimitSettingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PLAN_ERROR
     except SelectionError as exc:

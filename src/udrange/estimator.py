@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import sqrt
-from typing import Iterable, Sequence
-
 import numpy as np
 
 from .numtheory import sieve_mobius, zeta_int
@@ -110,14 +108,14 @@ def prob_exact(plan: FrequencyPlan, m: int) -> ProbabilityEstimate:
     )
 
 
-def prob_asymptotic(m: int, tol: float = 1e-12) -> ProbabilityEstimate:
-    """Asymptotic P = 1/zeta(M), accurate to tol.
+def prob_asymptotic(m: int) -> ProbabilityEstimate:
+    """Asymptotic P = 1/zeta(M), accurate to zeta_int's default 1e-12.
 
     zeta(m) > 1, so the reciprocal's error is no larger than zeta's own.
     """
     if m < 2:
         raise ValueError(f"asymptotic form needs m >= 2, got {m}")
-    return ProbabilityEstimate(value=1.0 / zeta_int(m, tol), method="asymptotic", m=m)
+    return ProbabilityEstimate(value=1.0 / zeta_int(m), method="asymptotic", m=m)
 
 
 def _mc_block(
@@ -169,54 +167,3 @@ def prob_montecarlo(
         trials=trials,
         std_error=sqrt(p_hat * (1.0 - p_hat) / trials),
     )
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    """One (plan, M) cell of the reproduction sweep."""
-
-    n_segments: int
-    n_frequencies: int
-    m: int
-    exact: float
-    asymptotic: float
-    monte_carlo: float
-    std_error: float
-    trials: int
-    seed: int
-
-
-def sweep(
-    plans: Sequence[FrequencyPlan],
-    m_values: Iterable[int],
-    trials: int,
-    seed: int,
-    workers: int = 1,
-) -> list[SweepRow]:
-    """Exact, asymptotic and Monte Carlo estimates for every (plan, M) pair.
-
-    Row (plan_idx, M) runs prob_montecarlo with seed (seed, plan_idx, M),
-    which raises ValueError for trials < 1 or a negative seed.
-    """
-    rows = []
-    for plan_idx, plan in enumerate(plans):
-        for m in m_values:
-            exact = prob_exact(plan, m)
-            asym = prob_asymptotic(m)
-            # Per-row entropy keeps rows reproducible under any execution order.
-            mc = prob_montecarlo(plan, m, trials, (seed, plan_idx, m), workers)
-            rows.append(
-                SweepRow(
-                    n_segments=plan.n_segments,
-                    n_frequencies=plan.n_frequencies,
-                    m=m,
-                    exact=exact.value,
-                    asymptotic=asym.value,
-                    monte_carlo=mc.value,
-                    std_error=mc.std_error,
-                    trials=trials,
-                    seed=seed,
-                )
-            )
-    return rows
-

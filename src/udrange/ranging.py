@@ -78,11 +78,6 @@ _PROBE_FRACTIONS = (
 )
 
 
-def _is_period(selection: tuple[int, ...], gcd_k: int, q: Fraction) -> bool:
-    # q*UD is a period iff every k_i * q / gcd_k is an integer.
-    return all((Fraction(k, gcd_k) * q).denominator == 1 for k in selection)
-
-
 def verify_ambiguity(
     plan: FrequencyPlan,
     selection: tuple[int, ...],
@@ -92,13 +87,13 @@ def verify_ambiguity(
     """Numeric check that the computed UD really is the phase period.
 
     True iff the phases at R and R + UD agree entrywise within tol_rad, and
-    each probed proper fraction of UD (1/2, 1/3, 1/5, 1/7, skipping any that
-    is itself a period) shifts at least one phase by more than tol_rad.
+    each probed proper fraction of UD (1/2, 1/3, 1/5, 1/7) shifts at least
+    one phase by more than tol_rad. None of them is itself a period: the
+    quotients k_i / gcd have gcd 1, so no prime divides all of them.
     """
     if tol_rad <= 0:
         raise ValueError(f"tol_rad must be positive, got {tol_rad}")
     distance = Fraction(distance_m)
-    gcd_k = gcd_all(selection)
     ud = exact_ud_m(plan, selection)
 
     base = phase_shifts(plan, selection, distance)
@@ -110,8 +105,6 @@ def verify_ambiguity(
         return False
 
     for q in _PROBE_FRACTIONS:
-        if _is_period(selection, gcd_k, q):
-            continue
         probed = phase_shifts(plan, selection, distance + q * ud)
         if all(
             circular_delta(a, b) <= tol_rad

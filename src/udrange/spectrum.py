@@ -69,7 +69,8 @@ def validate_plan(raw: Mapping[str, Any]) -> FrequencyPlan:
     Accepts ``{"f_min_hz": number, "segments": [{"start_index", "count"}, ...]}``.
     Segments are sorted by start index. f_min must be a finite positive
     number and both segment fields integers; bools, strings, fractional or
-    non-finite values, overlaps, zero counts and zero start indices are
+    non-finite values, overlaps, zero counts, zero start indices and indices
+    above 2**63 - 1 (sampling maps positions through int64 arrays) are
     rejected, never coerced.
     """
     try:
@@ -106,6 +107,10 @@ def validate_plan(raw: Mapping[str, Any]) -> FrequencyPlan:
             raise PlanError(f"segment {i}: start_index must be >= 1, got {start}")
         if count < 1:
             raise PlanError(f"segment {i}: count must be >= 1, got {count}")
+        if start + count - 1 >= 2**63:
+            raise PlanError(
+                f"segment {i}: last index {start + count - 1} exceeds 2**63 - 1"
+            )
         segments.append(Segment(start=start, count=count))
 
     segments.sort(key=lambda s: s.start)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from udrange import fig1
-from udrange.estimator import prob_asymptotic, prob_exact, prob_montecarlo, sweep
+from udrange.estimator import prob_asymptotic, prob_exact, prob_montecarlo
 from udrange.numtheory import sieve_mobius, zeta_int
 from udrange.ranging import circular_delta, exact_ud_m, phase_shifts
 from udrange.spectrum import sample_selection, validate_plan

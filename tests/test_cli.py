@@ -7,7 +7,8 @@ import pytest
 from udrange import _selfcheck, fig1
 from udrange.cli import main
 
-from .conftest import PLAN_DIR, REPO_ROOT
+from .conftest import PLAN_DIR, REPO_ROOT, make_plan
+from .oracles import coprime_fraction_brute
 
 L1_PLAN = str(PLAN_DIR / "fig1_L1.json")
 
@@ -176,7 +177,38 @@ class TestProbCommand:
         assert main(["prob", "-m", "3", "--methods", "asymptotic"]) == 0
 
 
+def sweep_rows(argv, capsys):
+    """The rows of a ``udrange sweep --format json`` run."""
+    assert main(["sweep", *argv, "--format", "json"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
 class TestSweepCommand:
+    def test_row_shape(self, plan_files, capsys):
+        argv = ["--m-range", "3..13", "--trials", "2000", "--seed", "0"]
+        for L in (1, 7, 12):
+            argv += ["--plan", plan_files[f"fig1_L{L}.json"]]
+        rows = sweep_rows(argv, capsys)
+        assert len(rows) == 33
+        assert sorted({r["L"] for r in rows}) == [1, 7, 12]
+        for r in rows:
+            assert abs(r["P_mc"] - r["P_asymptotic"]) < max(0.02, 6 * r["stderr"])
+
+    def test_empty_m_range(self, tiny_plan_file, capsys):
+        assert main(["sweep", "--plan", tiny_plan_file, "--m-range", "3..2"]) == 0
+        header = "L,N,M,P_exact,P_asymptotic,P_mc,stderr,trials,seed\n"
+        assert capsys.readouterr().out == header
+
+    def test_exact_column_matches_enumeration(self, tmp_path, capsys):
+        path = tmp_path / "plan.json"
+        segments = [{"start_index": 1, "count": 100}]
+        path.write_text(json.dumps({"f_min_hz": 1000, "segments": segments}))
+        argv = ["--plan", str(path), "--m-range", "3..3", "--trials", "10000"]
+        rows = sweep_rows(argv + ["--seed", "1"], capsys)
+        assert len(rows) == 1
+        expected = coprime_fraction_brute(make_plan([(1, 100)]), 3)
+        assert rows[0]["P_exact"] == pytest.approx(float(expected), abs=1e-15)
+
     def test_single_row(self, tiny_plan_file, capsys):
         code = main(
             [
@@ -294,6 +326,15 @@ def exit_code(argv):
         (["sweep", "--plan", L1_PLAN, "--m-range", "3..3", "--seed", "-1"], 2),
         (["sweep", "--plan", L1_PLAN, "--m-range", "0..3"], 2),
         (["sweep", "--plan", L1_PLAN, "--m-range", "1..3"], 2),
+        (["prob", "--plan", L1_PLAN, "-m", "3", "--out", "/nonexistent/x"], 2),
+        (["ud", "--plan", L1_PLAN, "--indices", "54000,54001", "--select", "3"], 2),
+        (["ud", "--plan", L1_PLAN], 2),
+        (["prob", "--plan", L1_PLAN, "-m", "3", "--methods", "monte_carlo",
+          "--trials", "10", "--workers", "0"], 2),
+        (["prob", "--plan", L1_PLAN, "-m", "3", "--methods", "monte_carlo",
+          "--trials", "10", "--workers", "-5"], 2),
+        (["sweep", "--plan", L1_PLAN, "--m-range", "3..3", "--workers", "0"], 2),
+        (["sweep", "--plan", L1_PLAN, "--m-range", "3..3", "--workers", "-5"], 2),
     ],
 )
 def test_bad_arguments_exit_without_traceback(argv, expected, capsys):

@@ -42,27 +42,39 @@ def segment_lists(first_start, gap, count):
             start += n + g
         return segments
 
-    return st.builds(build, first_start, st.lists(st.tuples(gap, count), min_size=1, max_size=3))
+    runs = st.lists(st.tuples(gap, count), min_size=1, max_size=3)
+    return st.builds(build, first_start, runs)
 
 
-valid_segments = segment_lists(st.integers(1, 3000), st.integers(0, 500), st.integers(1, 300))
+valid_segments = segment_lists(
+    st.integers(1, 3000), st.integers(0, 500), st.integers(1, 300)
+)
 # Plans that end near, at, or past the int64 range, with a small count.
 high_segments = segment_lists(
-    st.integers(INT64_MAX - 4000, INT64_MAX + 10**6), st.integers(0, 1000), st.integers(1, 3000)
+    st.integers(INT64_MAX - 4000, INT64_MAX + 10**6),
+    st.integers(0, 1000),
+    st.integers(1, 3000),
 )
 odd_segments = st.one_of(
     st.lists(
         st.fixed_dictionaries({"start_index": index_fields, "count": index_fields}),
         max_size=3,
     ),
-    st.lists(st.one_of(st.none(), st.integers(), st.dictionaries(st.text(max_size=3), st.integers())), max_size=2),
+    st.lists(
+        st.one_of(
+            st.none(), st.integers(), st.dictionaries(st.text(max_size=3), st.integers())
+        ),
+        max_size=2,
+    ),
     st.integers(),
     st.none(),
 )
 
 
 def plan_json(f_min, segments):
-    return st.builds(lambda f, s: json.dumps({"f_min_hz": f, "segments": s}), f_min, segments)
+    return st.builds(
+        lambda f, s: json.dumps({"f_min_hz": f, "segments": s}), f_min, segments
+    )
 
 
 plan_texts = st.one_of(
@@ -70,13 +82,16 @@ plan_texts = st.one_of(
     plan_json(st.integers(1, 10**6), high_segments),
     plan_json(f_min_fields, st.one_of(valid_segments, odd_segments)),
     st.one_of(
-        st.builds(json.dumps, st.one_of(st.integers(), st.lists(st.integers(), max_size=2))),
+        st.builds(
+            json.dumps, st.one_of(st.integers(), st.lists(st.integers(), max_size=2))
+        ),
         st.sampled_from(["", "{", "not json"]),
     ),
 )
 index_lists = st.one_of(
-    st.lists(st.one_of(st.integers(-5, 4000), st.integers(INT64_MAX - 5, 2**64)), max_size=4)
-    .map(lambda ks: ",".join(map(str, ks))),
+    st.lists(
+        st.one_of(st.integers(-5, 4000), st.integers(INT64_MAX - 5, 2**64)), max_size=4
+    ).map(lambda ks: ",".join(map(str, ks))),
     st.text(alphabet="0123456789,x- ", max_size=8),
 )
 
@@ -137,6 +152,7 @@ def run_main(argv):
     return code, stderr.getvalue()
 
 
+# A fixed example stream keeps the suite deterministic; about 3 s on 2 cores.
 @settings(
     max_examples=300,
     derandomize=True,
@@ -149,8 +165,13 @@ def test_cli_exits_with_a_documented_code(data, tmp_path, monkeypatch):
     monkeypatch.setenv("UD_SIEVE_LIMIT", str(10**5))
     plan_path = tmp_path / "plan.json"
     plan_path.write_text(data.draw(plan_texts, label="plan"))
-    out_choices = [None, str(tmp_path / "out.txt"), str(tmp_path / "missing" / "out.txt"),
-                   str(tmp_path)]
+    # --out: stdout, a writable file, a file in a missing directory, a directory.
+    out_choices = [
+        None,
+        str(tmp_path / "out.txt"),
+        str(tmp_path / "missing" / "out.txt"),
+        str(tmp_path),
+    ]
     argv = data.draw(argvs(str(plan_path), out_choices), label="argv")
     code, err = run_main(argv)
     assert code in EXIT_CODES, (code, err)

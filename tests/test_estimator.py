@@ -12,7 +12,6 @@ from udrange.estimator import (
     prob_asymptotic,
     prob_exact,
     prob_montecarlo,
-    sweep,
 )
 
 from .conftest import make_plan, small_plans
@@ -152,35 +151,3 @@ class TestProbMonteCarlo:
             if abs(e.value - exact) <= 2 * e.std_error:
                 covered += 1
         assert covered / 20 >= 0.85
-
-
-class TestSweep:
-    def test_row_shape(self, fig1_plans):
-        rows = sweep(fig1_plans, range(3, 14), trials=2_000, seed=0)
-        assert len(rows) == 33
-        assert sorted({r.n_segments for r in rows}) == [1, 7, 12]
-        for r in rows:
-            assert abs(r.monte_carlo - r.asymptotic) < max(0.02, 6 * r.std_error)
-
-    def test_empty_m_range(self, fig1_plans):
-        assert sweep(fig1_plans, range(3, 3), trials=10, seed=0) == []
-
-    def test_reproducible(self, fig1_plan_l1):
-        a = sweep([fig1_plan_l1], range(3, 6), trials=5_000, seed=42)
-        b = sweep([fig1_plan_l1], range(3, 6), trials=5_000, seed=42)
-        assert a == b
-
-    @pytest.mark.parametrize(
-        "trials, seed, message",
-        [(0, 1, "trials must be >= 1"), (10, -1, "seed must be non-negative")],
-    )
-    def test_rejects_bad_trials_and_seed(self, trials, seed, message):
-        with pytest.raises(ValueError, match=message):
-            sweep([make_plan([(1, 10)])], range(3, 4), trials=trials, seed=seed)
-
-    def test_exact_column_matches_enumeration(self):
-        plan = make_plan([(1, 100)])
-        rows = sweep([plan], range(3, 4), trials=10_000, seed=1)
-        assert len(rows) == 1
-        expected = coprime_fraction_brute(plan, 3)
-        assert rows[0].exact == pytest.approx(float(expected), abs=1e-15)

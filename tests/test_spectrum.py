@@ -60,11 +60,21 @@ class TestValidatePlan:
             {"f_min_hz": True, "segments": [{"start_index": 5, "count": 1}]},
             {"f_min_hz": 1000, "segments": 5},
             {"f_min_hz": 1000, "segments": [None]},
+            # Indices past 2**63 - 1, and a plan straddling it.
+            {"f_min_hz": 1000, "segments": [{"start_index": 10**23, "count": 1}]},
+            {"f_min_hz": 1000,
+             "segments": [{"start_index": 9223372036854775000, "count": 1000}]},
         ],
     )
     def test_rejects_malformed(self, raw):
         with pytest.raises(PlanError):
             validate_plan(raw)
+
+    def test_accepts_last_index_at_int64_max(self):
+        plan = make_plan([(2**63 - 1000, 1000)])
+        assert plan.last_index == 2**63 - 1
+        selection = sample_selection(plan, 5, np.random.default_rng(0))
+        assert all(plan.contains_index(k) for k in selection)
 
     def test_accepts_integer_and_float_f_min(self):
         for f_min in (1000, 1000.0, 2.5):
