@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import sqrt
+
 import numpy as np
 
 from .numtheory import sieve_mobius, zeta_int
