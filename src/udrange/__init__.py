@@ -29,7 +29,6 @@ from .spectrum import (
     PlanError,
     Segment,
     SelectionError,
-    count_multiples,
     enumerate_indices,
     load_plan,
     sample_selection,
@@ -47,7 +46,6 @@ __all__ = [
     "SelectionError",
     "UdResult",
     "compute_ud",
-    "count_multiples",
     "enumerate_indices",
     "gcd_all",
     "load_plan",

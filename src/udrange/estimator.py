@@ -119,14 +119,6 @@ def prob_asymptotic(m: int) -> ProbabilityEstimate:
     return ProbabilityEstimate(value=1.0 / zeta_int(m), method="asymptotic", m=m)
 
 
-def _mc_block(
-    plan: FrequencyPlan, m: int, n: int, seed_entropy: tuple[int, ...]
-) -> int:
-    rng = np.random.default_rng(np.random.SeedSequence(list(seed_entropy)))
-    draws = sample_selection_batch(plan, m, n, rng)
-    return int(np.count_nonzero(np.gcd.reduce(draws, axis=1) == 1))
-
-
 def prob_montecarlo(
     plan: FrequencyPlan,
     m: int,
@@ -146,20 +138,20 @@ def prob_montecarlo(
     entropy = seed if isinstance(seed, tuple) else (seed,)
     if any(s < 0 for s in entropy):
         raise ValueError(f"seed must be non-negative, got {seed}")
-    blocks = [
-        (b, min(MC_BLOCK_SIZE, trials - b * MC_BLOCK_SIZE))
-        for b in range((trials + MC_BLOCK_SIZE - 1) // MC_BLOCK_SIZE)
-    ]
-    if workers > 1 and len(blocks) > 1:
+    n_blocks = (trials + MC_BLOCK_SIZE - 1) // MC_BLOCK_SIZE
+
+    def block_hits(b: int) -> int:
+        n = min(MC_BLOCK_SIZE, trials - b * MC_BLOCK_SIZE)
+        rng = np.random.default_rng(np.random.SeedSequence(list(entropy + (b,))))
+        draws = sample_selection_batch(plan, m, n, rng)
+        return int(np.count_nonzero(np.gcd.reduce(draws, axis=1) == 1))
+
+    # Serial runs stay off the thread pool, which costs peak memory.
+    if workers > 1 and n_blocks > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            hits = sum(
-                pool.map(
-                    lambda bn: _mc_block(plan, m, bn[1], entropy + (bn[0],)),
-                    blocks,
-                )
-            )
+            hits = sum(pool.map(block_hits, range(n_blocks)))
     else:
-        hits = sum(_mc_block(plan, m, n, entropy + (b,)) for b, n in blocks)
+        hits = sum(map(block_hits, range(n_blocks)))
     p_hat = hits / trials
     return ProbabilityEstimate(
         value=p_hat,

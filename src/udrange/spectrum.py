@@ -71,12 +71,14 @@ def validate_plan(raw: Mapping[str, Any]) -> FrequencyPlan:
     number and both segment fields integers; bools, strings, fractional or
     non-finite values, overlaps, zero counts, zero start indices and indices
     above 2**63 - 1 (sampling maps positions through int64 arrays) are
-    rejected, never coerced.
+    rejected, never coerced, as is a raw value that is not a mapping.
     """
+    if not isinstance(raw, Mapping):
+        raise PlanError(f"plan must be a JSON object, got {type(raw).__name__}")
     try:
         f_min = raw["f_min_hz"]
         raw_segments = raw["segments"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise PlanError(f"plan is missing required field: {exc}") from exc
     if isinstance(f_min, bool) or not isinstance(f_min, numbers.Real):
         raise PlanError(f"f_min_hz must be a number, got {f_min!r}")
@@ -133,15 +135,8 @@ def load_plan(path: str | Path) -> FrequencyPlan:
     return validate_plan(raw)
 
 
-def count_multiples(plan: FrequencyPlan, j: int) -> int:
-    """Number of indices in the plan's index set divisible by j; exact, O(L)."""
-    if j < 1:
-        raise ValueError(f"j must be >= 1, got {j}")
-    return sum(s.end // j - (s.start - 1) // j for s in plan.segments)
-
-
 def count_multiples_upto(plan: FrequencyPlan, j: np.ndarray) -> np.ndarray:
-    """Vectorized count_multiples over an int64 array of j >= 1.
+    """Multiple counts of the plan's index set over an int64 array of j >= 1.
 
     Entry [i] is x_{j[i]}, the number of plan indices divisible by j[i]. The
     exact method passes only the squarefree j <= K, where mu(j) != 0.

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from udrange import _selfcheck, fig1
+from udrange import MobiusTable, _selfcheck, fig1, sieve_mobius
 from udrange.cli import main
 
 from .conftest import PLAN_DIR, REPO_ROOT, make_plan
@@ -88,6 +88,13 @@ class TestUdCommand:
         assert main(["ud", "--plan", str(path), "--indices", "5"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_non_object_plan_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "plan.json"
+        path.write_text("[1, 2]")
+        assert main(["ud", "--plan", str(path), "--indices", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: plan must be a JSON object, got list\n"
 
     def test_outside_plan_exit_code(self, plan_files):
         code = main(
@@ -261,13 +268,32 @@ class TestSweepCommand:
         assert script_csv.read_bytes() == sweep_csv.read_bytes()
 
 
+QUICK_CHECKS = [
+    "mobius_sieve",
+    "zeta_closed_form",
+    "gcd_known_values",
+    "exact_vs_enumeration",
+    "phase_periodicity",
+]
+
+
+def verify_lines(out):
+    return [line.split(":")[0] for line in out.splitlines()]
+
+
 class TestVerifyCommand:
     def test_quick_passes(self, capsys):
         code = main(["verify", "--quick"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "FAIL" not in out
-        assert out.count("PASS") >= 5
+        assert verify_lines(out) == [f"PASS {name}" for name in QUICK_CHECKS]
+
+    def test_full_passes(self, capsys):
+        code = main(["verify"])
+        out = capsys.readouterr().out
+        assert code == 0
+        full = QUICK_CHECKS + ["l_independence", "asymptotic_gap"]
+        assert verify_lines(out) == [f"PASS {name}" for name in full]
 
     def test_injected_fault_fails(self, capsys, monkeypatch):
         failing = _selfcheck.CheckResult("gcd_known_values", False, "forced")
@@ -276,6 +302,18 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert code == 1
         assert "FAIL gcd_known_values: forced" in out
+
+    @pytest.mark.parametrize("j", [1, 30, 1999])
+    def test_flipped_sieve_sign_fails(self, capsys, monkeypatch, j):
+        values = sieve_mobius(2000).values.copy()
+        values[j] = -values[j]
+        monkeypatch.setattr(
+            _selfcheck, "sieve_mobius", lambda limit: MobiusTable(limit, values)
+        )
+        code = main(["verify", "--quick"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert f"FAIL mobius_sieve: divisor sum wrong at n={j}" in out
 
 
 class TestBundledPlans:

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from udrange.spectrum import (
     PlanError,
     SelectionError,
-    count_multiples,
     count_multiples_upto,
     enumerate_indices,
     sample_selection,
@@ -64,6 +63,10 @@ class TestValidatePlan:
             {"f_min_hz": 1000, "segments": [{"start_index": 10**23, "count": 1}]},
             {"f_min_hz": 1000,
              "segments": [{"start_index": 9223372036854775000, "count": 1000}]},
+            # JSON values that are not objects.
+            [1, 2],
+            "x",
+            5,
         ],
     )
     def test_rejects_malformed(self, raw):
@@ -95,47 +98,39 @@ class TestValidatePlan:
 
 class TestCountMultiples:
     def test_hand_enumeration(self):
-        plan = make_plan([(10, 10)])  # indices 10..19
-        assert count_multiples(plan, 3) == 3  # 12, 15, 18
+        plan = make_plan([(10, 10)])  # indices 10..19: multiples 12, 15, 18
+        assert count_multiples_upto(plan, np.array([3])).tolist() == [3]
 
     def test_j_one_counts_everything(self):
         plan = make_plan([(7, 9), (40, 11)])
-        assert count_multiples(plan, 1) == plan.n_frequencies
+        x = count_multiples_upto(plan, np.array([1]))
+        assert x.tolist() == [plan.n_frequencies]
 
     def test_band_multiples_of_seven(self):
         plan = make_plan([(54000, 32768)])
         brute = sum(1 for k in range(54000, 86768) if k % 7 == 0)
         assert brute == 4681
-        assert count_multiples(plan, 7) == 4681
-
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            count_multiples(make_plan([(1, 3)]), 0)
+        assert count_multiples_upto(plan, np.array([7])).tolist() == [4681]
 
     @given(plan=small_plans())
     @settings(max_examples=40, deadline=None)
     def test_matches_brute_force(self, plan):
-        for j in range(1, plan.last_index + 1):
-            assert count_multiples(plan, j) == count_multiples_brute(plan, j)
+        j = np.arange(1, plan.last_index + 1)
+        x = count_multiples_upto(plan, j)
+        assert x.tolist() == [count_multiples_brute(plan, int(k)) for k in j]
 
     @given(plan=small_plans())
     @settings(max_examples=40, deadline=None)
     def test_segment_bound(self, plan):
         n, L = plan.n_frequencies, plan.n_segments
-        for j in range(1, plan.last_index + 5):
-            x = count_multiples(plan, j)
-            assert n / j - L <= x <= n / j + L
+        j = np.arange(1, plan.last_index + 5)
+        x = count_multiples_upto(plan, j)
+        assert np.all((n / j - L <= x) & (x <= n / j + L))
 
     def test_vanishes_beyond_last_index(self):
         plan = make_plan([(4, 6), (20, 3)])
-        for j in range(plan.last_index + 1, plan.last_index + 50):
-            assert count_multiples(plan, j) == 0
-
-    def test_vectorized_agrees_with_scalar(self):
-        plan = make_plan([(9, 14), (60, 21)])
-        x = count_multiples_upto(plan, np.arange(1, plan.last_index + 1))
-        for j in range(1, plan.last_index + 1):
-            assert x[j - 1] == count_multiples(plan, j)
+        j = np.arange(plan.last_index + 1, plan.last_index + 50)
+        assert not count_multiples_upto(plan, j).any()
 
 
 class TestEnumerateIndices:
