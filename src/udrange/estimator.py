@@ -17,7 +17,7 @@ from math import sqrt
 
 import numpy as np
 
-from .numtheory import sieve_mobius, zeta_int
+from .numtheory import gcd_all, sieve_mobius, zeta_int
 from .spectrum import FrequencyPlan, count_multiples_upto, sample_selection_batch
 
 DEFAULT_SIEVE_LIMIT = 10_000_000
@@ -131,7 +131,10 @@ def prob_montecarlo(
     ``seed`` is a non-negative int or a tuple of them: the SeedSequence
     entropy. Trials are split into fixed-size blocks, each driven by a
     substream derived from (seed..., block index), so the result is
-    bit-identical for any worker count.
+    bit-identical for any worker count. A block folds one drawn column at a
+    time into a running gcd and drops the rows that reach G, the gcd of the
+    whole index set, so its memory does not grow with M. Up to
+    min(workers, blocks, CPU count) threads each sum a stride of blocks.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -139,19 +142,24 @@ def prob_montecarlo(
     if any(s < 0 for s in entropy):
         raise ValueError(f"seed must be non-negative, got {seed}")
     n_blocks = (trials + MC_BLOCK_SIZE - 1) // MC_BLOCK_SIZE
+    # G > 1 only when every segment is a single index; then no row is coprime.
+    floor = gcd_all(s.start if s.count == 1 else 1 for s in plan.segments)
 
     def block_hits(b: int) -> int:
         n = min(MC_BLOCK_SIZE, trials - b * MC_BLOCK_SIZE)
         rng = np.random.default_rng(np.random.SeedSequence(list(entropy + (b,))))
-        draws = sample_selection_batch(plan, m, n, rng)
-        return int(np.count_nonzero(np.gcd.reduce(draws, axis=1) == 1))
+        g = sample_selection_batch(plan, n, rng)
+        for _ in range(m - 1):
+            g = g[g != floor]
+            if not g.size:
+                break
+            g = np.gcd(g, sample_selection_batch(plan, g.size, rng))
+        return 0 if floor > 1 else n - int(np.count_nonzero(g > 1))
 
-    # Serial runs stay off the thread pool, which costs peak memory.
-    if workers > 1 and n_blocks > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            hits = sum(pool.map(block_hits, range(n_blocks)))
-    else:
-        hits = sum(map(block_hits, range(n_blocks)))
+    threads = min(workers, n_blocks, os.cpu_count() or 1)
+    strides = [range(first, n_blocks, threads) for first in range(threads)]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        hits = sum(pool.map(lambda blocks: sum(map(block_hits, blocks)), strides))
     p_hat = hits / trials
     return ProbabilityEstimate(
         value=p_hat,

@@ -154,37 +154,28 @@ def enumerate_indices(plan: FrequencyPlan) -> Iterator[int]:
         yield from range(s.start, s.end + 1)
 
 
-def _positions_to_indices(plan: FrequencyPlan, positions: np.ndarray) -> np.ndarray:
-    """Map flat positions 0..N-1 onto grid indices across segments."""
-    starts = np.array([s.start for s in plan.segments], dtype=np.int64)
+def sample_selection_batch(
+    plan: FrequencyPlan, size: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Draw size grid indices independently and uniformly from the plan's set.
+
+    Returns a 1-D int64 array; advances the generator. Flat positions
+    0..N-1 are shifted onto their segments' grid indices.
+    """
+    if size < 1:
+        raise ValueError(f"size must be >= 1, got {size}")
     counts = np.array([s.count for s in plan.segments], dtype=np.int64)
     cum = np.cumsum(counts)
-    seg = np.searchsorted(cum, positions, side="right")
-    offset_before = cum - counts
-    return starts[seg] + (positions - offset_before[seg])
-
-
-def sample_selection_batch(
-    plan: FrequencyPlan, m: int, n: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Draw n independent selections of m indices each, uniform with replacement.
-
-    Returns an (n, m) int64 array of grid indices; advances the generator.
-    """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    positions = rng.integers(0, plan.n_frequencies, size=(n, m), dtype=np.int64)
-    return _positions_to_indices(plan, positions)
+    shift = np.array([s.start for s in plan.segments], dtype=np.int64) - (cum - counts)
+    positions = rng.integers(0, plan.n_frequencies, size=size, dtype=np.int64)
+    return positions + shift[np.searchsorted(cum, positions, side="right")]
 
 
 def sample_selection(
     plan: FrequencyPlan, m: int, rng: np.random.Generator
 ) -> tuple[int, ...]:
     """Draw one selection of m indices, uniform with replacement."""
-    row = sample_selection_batch(plan, m, 1, rng)[0]
-    return tuple(int(k) for k in row)
+    return tuple(int(k) for k in sample_selection_batch(plan, m, rng))
 
 
 def selection_from_indices(

@@ -164,7 +164,7 @@ class TestSampling:
     def test_uniform_marginals(self):
         plan = make_plan([(1, 4)])
         rng = np.random.default_rng(2024)
-        draws = sample_selection_batch(plan, 1, 100_000, rng).ravel()
+        draws = sample_selection_batch(plan, 100_000, rng)
         sigma = np.sqrt(100_000 * 0.25 * 0.75)
         for k in (1, 2, 3, 4):
             assert abs(np.count_nonzero(draws == k) - 25_000) < 4 * sigma
@@ -175,7 +175,7 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_selection(plan, 0, rng)
         with pytest.raises(ValueError):
-            sample_selection_batch(plan, 2, 0, rng)
+            sample_selection_batch(plan, 0, rng)
 
 
 class TestSelectionFromIndices:
