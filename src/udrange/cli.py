@@ -5,7 +5,8 @@ Plan file format (JSON)::
     {"f_min_hz": 1000, "segments": [{"start_index": 54000, "count": 32768}, ...]}
 
 Exit codes: 0 ok, 1 verify failure, 2 bad arguments or plan parse error,
-3 invalid selection, 4 capability exceeded (plan too large to sieve).
+3 invalid selection, 4 capability exceeded (plan too large to sieve, or
+M * bit_length(N) above 14,000 for the exact method).
 Argument errors exit 2 with a one-line message: -m, --select, --trials or
 --workers below 1, a negative --seed, M below 2 where 1/zeta(M) is asked
 (asymptotic, sweep), exact or monte_carlo without --plan, an --out path that
@@ -24,6 +25,7 @@ import numpy as np
 
 from . import _selfcheck
 from .estimator import (
+    ExactSizeError,
     ProbabilityEstimate,
     SieveLimitError,
     SieveLimitSettingError,
@@ -275,7 +277,7 @@ def main(argv: list[str] | None = None) -> int:
     except SelectionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SELECTION_ERROR
-    except SieveLimitError as exc:
+    except (SieveLimitError, ExactSizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPABILITY
     except argparse.ArgumentTypeError as exc:

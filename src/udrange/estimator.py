@@ -22,12 +22,17 @@ from .spectrum import FrequencyPlan, count_multiples_upto, sample_selection_batc
 
 DEFAULT_SIEVE_LIMIT = 10_000_000
 SIEVE_LIMIT_ENV = "UD_SIEVE_LIMIT"
+EXACT_MAX_BITS = 14_000  # bound on M * bit_length(N) for the exact method
 
 MC_BLOCK_SIZE = 65_536  # fixed so results never depend on worker count
 
 
 class SieveLimitError(RuntimeError):
     """Plan's largest index exceeds the configured Mobius sieve limit."""
+
+
+class ExactSizeError(RuntimeError):
+    """N^M is too large for the exact big-integer sum to be printed."""
 
 
 class SieveLimitSettingError(ValueError):
@@ -87,8 +92,10 @@ def prob_exact(plan: FrequencyPlan, m: int) -> ProbabilityEstimate:
     The alternating sum cancels catastrophically in floating point and N^M
     overflows fixed-width types, so everything stays integer until the final
     rounding. Raises SieveLimitError when the plan's largest index exceeds
-    the sieve limit (default 10^7, override via UD_SIEVE_LIMIT), and
-    SieveLimitSettingError when UD_SIEVE_LIMIT is not an integer >= 1.
+    the sieve limit (default 10^7, override via UD_SIEVE_LIMIT),
+    SieveLimitSettingError when UD_SIEVE_LIMIT is not an integer >= 1, and
+    ExactSizeError when M * bit_length(N) exceeds EXACT_MAX_BITS, which keeps
+    N^M below 10^4215, inside the 4,300 digits Python prints by default.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
@@ -97,6 +104,12 @@ def prob_exact(plan: FrequencyPlan, m: int) -> ProbabilityEstimate:
         raise SieveLimitError(
             f"largest plan index {plan.last_index} exceeds sieve limit "
             f"{limit} (set {SIEVE_LIMIT_ENV} to raise it)"
+        )
+    bits = plan.n_frequencies.bit_length()
+    if m * bits > EXACT_MAX_BITS:
+        raise ExactSizeError(
+            f"exact method needs M * bit_length(N) <= {EXACT_MAX_BITS}, "
+            f"got {m} * {bits} = {m * bits}"
         )
     z = sum(w * v**m for v, w in _coprimality_weights(plan))
     denom = plan.n_frequencies**m

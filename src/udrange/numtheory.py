@@ -63,12 +63,17 @@ def zeta_int(m: int, tol: float = 1e-12) -> float:
 
     Sums the series head and closes it with an integral tail estimate plus
     Euler-Maclaurin correction terms; the first omitted term bounds the
-    truncation error, so the cutoff J stays small even at tol = 1e-12.
+    truncation error, so the cutoff J stays small even at tol = 1e-12. For
+    m > 1,100, zeta(m) - 1 < 2^(1-m) lies below the smallest positive double,
+    so 1.0 is returned before m is turned into a float (which overflows for
+    m above about 1e102).
     """
     if m < 2:
         raise ValueError(f"zeta series diverges for m < 2, got {m}")
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
+    if m > 1_100:
+        return 1.0
     # Error after the B2 term is below m(m+1)(m+2)/720 * J^-(m+3).
     c4 = m * (m + 1) * (m + 2) / 720.0
     J = max(2, math.ceil((c4 / (tol / 2.0)) ** (1.0 / (m + 3))))

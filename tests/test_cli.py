@@ -183,6 +183,25 @@ class TestProbCommand:
         # Only the exact method reads the setting.
         assert main(["prob", "-m", "3", "--methods", "asymptotic"]) == 0
 
+    @pytest.mark.parametrize(
+        "argv, expected, line",
+        [
+            (["--plan", L1_PLAN, "-m", str(10**20), "--methods", "monte_carlo",
+              "--trials", "1"],
+             0, "P_monte_carlo = 1.0000000000  (trials=1, stderr=0.00e+00)"),
+            (["-m", str(10**400), "--methods", "asymptotic"],
+             0, "P_asymptotic = 1.0000000000"),
+            (["--plan", L1_PLAN, "-m", "1000", "--methods", "exact"], 4, None),
+        ],
+    )
+    def test_huge_m_exit_codes(self, argv, expected, line, capsys):
+        assert main(["prob", *argv]) == expected
+        out, err = capsys.readouterr()
+        if expected == 0:
+            assert out.splitlines()[1] == line and err == ""
+        else:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
 
 def sweep_rows(argv, capsys):
     """The rows of a ``udrange sweep --format json`` run."""

@@ -1,4 +1,7 @@
 import math
+import time
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from udrange import estimator
 from udrange.estimator import (
+    EXACT_MAX_BITS,
+    MC_BLOCK_SIZE,
+    ExactSizeError,
     SieveLimitError,
     _coprimality_weights,
     prob_asymptotic,
@@ -48,6 +55,13 @@ class TestProbExact:
         monkeypatch.setenv("UD_SIEVE_LIMIT", "100")
         with pytest.raises(SieveLimitError):
             prob_exact(make_plan([(1000, 10)]), 2)
+
+    def test_size_limit_enforced(self, fig1_plan_l1):
+        # N = 2**15 has 16 bits: M = 875 is the largest M inside the limit.
+        assert 875 * 16 <= EXACT_MAX_BITS < 876 * 16
+        assert prob_exact(fig1_plan_l1, 875).value == pytest.approx(1.0)
+        with pytest.raises(ExactSizeError):
+            prob_exact(fig1_plan_l1, 876)
 
     @given(plan=small_plans(max_segments=3, max_count=15, total_cap=40))
     @settings(max_examples=20, deadline=None)
@@ -151,3 +165,39 @@ class TestProbMonteCarlo:
             if abs(e.value - exact) <= 2 * e.std_error:
                 covered += 1
         assert covered / 20 >= 0.85
+
+    def test_block_memory_does_not_grow_with_m(self, fig1_plans):
+        tracemalloc.start()
+        try:
+            prob_montecarlo(fig1_plans[-1], 512, 16_384, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    def test_threads_capped_by_cpu_count(self, fig1_plan_l1, monkeypatch):
+        seen = {"max_workers": [], "tasks": 0}
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                seen["max_workers"].append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+            def submit(self, fn, /, *args, **kwargs):
+                seen["tasks"] += 1
+                return super().submit(fn, *args, **kwargs)
+
+        trials = 5 * MC_BLOCK_SIZE
+        serial = prob_montecarlo(fig1_plan_l1, 3, trials, seed=5, workers=1)
+        monkeypatch.setattr(estimator.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(estimator, "ThreadPoolExecutor", RecordingPool)
+        wide = prob_montecarlo(fig1_plan_l1, 3, trials, seed=5, workers=64)
+        assert seen["max_workers"] and max(seen["max_workers"]) <= 2
+        assert seen["tasks"] <= 2
+        assert wide == serial
+
+    def test_all_singleton_plan_stops_at_its_gcd(self):
+        plan = make_plan([(2, 1), (4, 1)])
+        start = time.perf_counter()
+        assert prob_montecarlo(plan, 10**9, 1_000, seed=0).value == 0.0
+        assert time.perf_counter() - start < 1.0

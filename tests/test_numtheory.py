@@ -98,6 +98,9 @@ class TestZetaInt:
         for a, b in zip(values, values[1:]):
             assert a > b > 1.0
 
+    def test_huge_argument_is_one(self):
+        assert zeta_int(10**400) == 1.0
+
     def test_rejects_divergent_argument(self):
         with pytest.raises(ValueError):
             zeta_int(1, 1e-9)
