@@ -156,18 +156,18 @@ def prob_montecarlo(
         raise ValueError(f"seed must be non-negative, got {seed}")
     n_blocks = (trials + MC_BLOCK_SIZE - 1) // MC_BLOCK_SIZE
     # G > 1 only when every segment is a single index; then no row is coprime.
-    floor = gcd_all(s.start if s.count == 1 else 1 for s in plan.segments)
+    plan_gcd = gcd_all(s.start if s.count == 1 else 1 for s in plan.segments)
 
     def block_hits(b: int) -> int:
         n = min(MC_BLOCK_SIZE, trials - b * MC_BLOCK_SIZE)
         rng = np.random.default_rng(np.random.SeedSequence(list(entropy + (b,))))
         g = sample_selection_batch(plan, n, rng)
         for _ in range(m - 1):
-            g = g[g != floor]
+            g = g[g != plan_gcd]
             if not g.size:
                 break
             g = np.gcd(g, sample_selection_batch(plan, g.size, rng))
-        return 0 if floor > 1 else n - int(np.count_nonzero(g > 1))
+        return 0 if plan_gcd > 1 else n - int(np.count_nonzero(g > 1))
 
     threads = min(workers, n_blocks, os.cpu_count() or 1)
     strides = [range(first, n_blocks, threads) for first in range(threads)]
