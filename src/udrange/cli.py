@@ -25,9 +25,8 @@ import numpy as np
 
 from . import _selfcheck
 from .estimator import (
-    ExactSizeError,
+    CapabilityError,
     ProbabilityEstimate,
-    SieveLimitError,
     SieveLimitSettingError,
     prob_asymptotic,
     prob_exact,
@@ -277,7 +276,7 @@ def main(argv: list[str] | None = None) -> int:
     except SelectionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SELECTION_ERROR
-    except (SieveLimitError, ExactSizeError) as exc:
+    except CapabilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPABILITY
     except argparse.ArgumentTypeError as exc:

@@ -27,12 +27,9 @@ EXACT_MAX_BITS = 14_000  # bound on M * bit_length(N) for the exact method
 MC_BLOCK_SIZE = 65_536  # fixed so results never depend on worker count
 
 
-class SieveLimitError(RuntimeError):
-    """Plan's largest index exceeds the configured Mobius sieve limit."""
-
-
-class ExactSizeError(RuntimeError):
-    """N^M is too large for the exact big-integer sum to be printed."""
+class CapabilityError(RuntimeError):
+    """The plan's largest index exceeds the sieve limit, or N^M is too large
+    for the exact big-integer sum to be printed."""
 
 
 class SieveLimitSettingError(ValueError):
@@ -91,23 +88,23 @@ def prob_exact(plan: FrequencyPlan, m: int) -> ProbabilityEstimate:
 
     The alternating sum cancels catastrophically in floating point and N^M
     overflows fixed-width types, so everything stays integer until the final
-    rounding. Raises SieveLimitError when the plan's largest index exceeds
-    the sieve limit (default 10^7, override via UD_SIEVE_LIMIT),
-    SieveLimitSettingError when UD_SIEVE_LIMIT is not an integer >= 1, and
-    ExactSizeError when M * bit_length(N) exceeds EXACT_MAX_BITS, which keeps
-    N^M below 10^4215, inside the 4,300 digits Python prints by default.
+    rounding. Raises CapabilityError when the plan's largest index exceeds
+    the sieve limit (default 10^7, override via UD_SIEVE_LIMIT) or when
+    M * bit_length(N) exceeds EXACT_MAX_BITS, which keeps N^M below 10^4215,
+    inside the 4,300 digits Python prints by default, and
+    SieveLimitSettingError when UD_SIEVE_LIMIT is not an integer >= 1.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     limit = sieve_limit()
     if plan.last_index > limit:
-        raise SieveLimitError(
+        raise CapabilityError(
             f"largest plan index {plan.last_index} exceeds sieve limit "
             f"{limit} (set {SIEVE_LIMIT_ENV} to raise it)"
         )
     bits = plan.n_frequencies.bit_length()
     if m * bits > EXACT_MAX_BITS:
-        raise ExactSizeError(
+        raise CapabilityError(
             f"exact method needs M * bit_length(N) <= {EXACT_MAX_BITS}, "
             f"got {m} * {bits} = {m * bits}"
         )
@@ -123,7 +120,7 @@ def prob_exact(plan: FrequencyPlan, m: int) -> ProbabilityEstimate:
 
 
 def prob_asymptotic(m: int) -> ProbabilityEstimate:
-    """Asymptotic P = 1/zeta(M), accurate to zeta_int's default 1e-12.
+    """Asymptotic P = 1/zeta(M), accurate to zeta_int's ZETA_TOL = 1e-12.
 
     zeta(m) > 1, so the reciprocal's error is no larger than zeta's own.
     """

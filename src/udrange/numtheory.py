@@ -20,11 +20,6 @@ class MobiusTable:
     limit: int
     values: np.ndarray
 
-    def __getitem__(self, j: int) -> int:
-        if not 1 <= j <= self.limit:
-            raise IndexError(f"j={j} outside sieve range 1..{self.limit}")
-        return int(self.values[j])
-
 
 def sieve_mobius(limit: int) -> MobiusTable:
     """Sieve mu(j) for all j <= limit.
@@ -58,25 +53,26 @@ def sieve_mobius(limit: int) -> MobiusTable:
     return MobiusTable(limit=limit, values=mu)
 
 
-def zeta_int(m: int, tol: float = 1e-12) -> float:
-    """Riemann zeta at an integer argument m >= 2 with certified error < tol.
+ZETA_TOL = 1e-12  # certified error bound of zeta_int
+
+
+def zeta_int(m: int) -> float:
+    """Riemann zeta at an integer argument m >= 2 with error < ZETA_TOL.
 
     Sums the series head and closes it with an integral tail estimate plus
     Euler-Maclaurin correction terms; the first omitted term bounds the
-    truncation error, so the cutoff J stays small even at tol = 1e-12. For
+    truncation error, so the cutoff J stays small even at 1e-12. For
     m > 1,100, zeta(m) - 1 < 2^(1-m) lies below the smallest positive double,
     so 1.0 is returned before m is turned into a float (which overflows for
     m above about 1e102).
     """
     if m < 2:
         raise ValueError(f"zeta series diverges for m < 2, got {m}")
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
     if m > 1_100:
         return 1.0
     # Error after the B2 term is below m(m+1)(m+2)/720 * J^-(m+3).
     c4 = m * (m + 1) * (m + 2) / 720.0
-    J = max(2, math.ceil((c4 / (tol / 2.0)) ** (1.0 / (m + 3))))
+    J = max(2, math.ceil((c4 / (ZETA_TOL / 2.0)) ** (1.0 / (m + 3))))
     head = math.fsum(j ** -float(m) for j in range(1, J))
     tail = (
         J ** (1.0 - m) / (m - 1)

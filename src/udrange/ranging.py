@@ -40,12 +40,18 @@ def exact_ud_m(plan: FrequencyPlan, selection: tuple[int, ...]) -> Fraction:
     return Fraction(SPEED_OF_LIGHT_M_S) / (k * Fraction(plan.f_min_hz))
 
 
-def _phase(index: int, f_min_hz: float, distance: Fraction) -> float:
-    # Exact mod-1 reduction of the cycle count index*f_min*R/c; the huge
-    # integer part would otherwise eat all float precision at large R.
-    cycles = index * Fraction(f_min_hz) * distance / SPEED_OF_LIGHT_M_S
-    frac = cycles - (cycles.numerator // cycles.denominator)
-    return TWO_PI * float(frac)
+def _cycles(
+    plan: FrequencyPlan,
+    selection: tuple[int, ...],
+    distance_m: float | int | Fraction,
+) -> tuple[Fraction, ...]:
+    # Exact mod-1 reduction of the cycle counts k*f_min*R/c; the huge integer
+    # part would otherwise eat all float precision at large R.
+    distance = Fraction(distance_m)
+    if distance < 0:
+        raise ValueError(f"distance must be non-negative, got {distance_m}")
+    per_index = Fraction(plan.f_min_hz) * distance / SPEED_OF_LIGHT_M_S
+    return tuple(k * per_index % 1 for k in selection)
 
 
 def phase_shifts(
@@ -58,16 +64,7 @@ def phase_shifts(
     Accepts the distance as a float or an exact Fraction; reduction modulo
     one cycle is done in exact rational arithmetic either way.
     """
-    distance = Fraction(distance_m)
-    if distance < 0:
-        raise ValueError(f"distance must be non-negative, got {distance_m}")
-    return tuple(_phase(k, plan.f_min_hz, distance) for k in selection)
-
-
-def circular_delta(a: float, b: float) -> float:
-    """Distance between two angles on the circle, in [0, pi]."""
-    d = abs(a - b) % TWO_PI
-    return min(d, TWO_PI - d)
+    return tuple(TWO_PI * float(c) for c in _cycles(plan, selection, distance_m))
 
 
 _PROBE_FRACTIONS = (
@@ -82,33 +79,18 @@ def verify_ambiguity(
     plan: FrequencyPlan,
     selection: tuple[int, ...],
     distance_m: float | int | Fraction,
-    tol_rad: float,
 ) -> bool:
-    """Numeric check that the computed UD really is the phase period.
+    """Exact check that the computed UD really is the phase period.
 
-    True iff the phases at R and R + UD agree entrywise within tol_rad, and
-    each probed proper fraction of UD (1/2, 1/3, 1/5, 1/7) shifts at least
-    one phase by more than tol_rad. None of them is itself a period: the
-    quotients k_i / gcd have gcd 1, so no prime divides all of them.
+    Compares the cycle counts k_i*f_min*R/c mod 1 as rationals. True iff
+    those at R + UD equal those at R, and each probed proper fraction of UD
+    (1/2, 1/3, 1/5, 1/7) changes at least one of them. None of them is itself
+    a period: the quotients k_i / gcd have gcd 1, so no prime divides all of
+    them.
     """
-    if tol_rad <= 0:
-        raise ValueError(f"tol_rad must be positive, got {tol_rad}")
-    distance = Fraction(distance_m)
-    ud = exact_ud_m(plan, selection)
-
-    base = phase_shifts(plan, selection, distance)
-    shifted = phase_shifts(plan, selection, distance + ud)
-    if any(
-        circular_delta(a, b) > tol_rad
-        for a, b in zip(base, shifted)
-    ):
-        return False
-
-    for q in _PROBE_FRACTIONS:
-        probed = phase_shifts(plan, selection, distance + q * ud)
-        if all(
-            circular_delta(a, b) <= tol_rad
-            for a, b in zip(base, probed)
-        ):
-            return False
-    return True
+    base = _cycles(plan, selection, distance_m)
+    distance, ud = Fraction(distance_m), exact_ud_m(plan, selection)
+    return _cycles(plan, selection, distance + ud) == base and all(
+        _cycles(plan, selection, distance + q * ud) != base
+        for q in _PROBE_FRACTIONS
+    )

@@ -56,12 +56,6 @@ class FrequencyPlan:
     def last_index(self) -> int:
         return self.segments[-1].end
 
-    def contains_index(self, k: int) -> bool:
-        for seg in self.segments:
-            if seg.start <= k <= seg.end:
-                return True
-        return False
-
 
 def validate_plan(raw: Mapping[str, Any]) -> FrequencyPlan:
     """Build a validated FrequencyPlan from a raw description.
@@ -193,7 +187,7 @@ def selection_from_indices(
             k = int(k)
         except ValueError:
             raise SelectionError(f"index {k!r} is not an integer") from None
-        if not plan.contains_index(k):
+        if not any(s.start <= k <= s.end for s in plan.segments):
             raise SelectionError(f"index {k} is not in the plan's index set")
         checked.append(k)
     return tuple(checked)

@@ -89,3 +89,9 @@ def coprimality_weights_ref(plan: FrequencyPlan) -> tuple[tuple[int, int], ...]:
     mask = (mu != 0) & (x > 0)
     weights = np.bincount(x[mask], weights=mu[mask].astype(np.float64))
     return tuple((int(v), int(weights[v])) for v in np.flatnonzero(weights))
+
+
+def circular_delta(a: float, b: float) -> float:
+    """Distance between two angles on the circle, in [0, pi]."""
+    d = abs(a - b) % (2 * math.pi)
+    return min(d, 2 * math.pi - d)

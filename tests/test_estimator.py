@@ -13,8 +13,7 @@ from udrange import estimator
 from udrange.estimator import (
     EXACT_MAX_BITS,
     MC_BLOCK_SIZE,
-    ExactSizeError,
-    SieveLimitError,
+    CapabilityError,
     _coprimality_weights,
     prob_asymptotic,
     prob_exact,
@@ -53,14 +52,14 @@ class TestProbExact:
 
     def test_sieve_limit_enforced(self, monkeypatch):
         monkeypatch.setenv("UD_SIEVE_LIMIT", "100")
-        with pytest.raises(SieveLimitError):
+        with pytest.raises(CapabilityError):
             prob_exact(make_plan([(1000, 10)]), 2)
 
     def test_size_limit_enforced(self, fig1_plan_l1):
         # N = 2**15 has 16 bits: M = 875 is the largest M inside the limit.
         assert 875 * 16 <= EXACT_MAX_BITS < 876 * 16
         assert prob_exact(fig1_plan_l1, 875).value == pytest.approx(1.0)
-        with pytest.raises(ExactSizeError):
+        with pytest.raises(CapabilityError):
             prob_exact(fig1_plan_l1, 876)
 
     @given(plan=small_plans(max_segments=3, max_count=15, total_cap=40))

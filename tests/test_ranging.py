@@ -4,9 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from udrange import ranging
 from udrange.ranging import (
     SPEED_OF_LIGHT_M_S,
-    circular_delta,
     compute_ud,
     exact_ud_m,
     phase_shifts,
@@ -15,7 +15,7 @@ from udrange.ranging import (
 from udrange.spectrum import sample_selection
 
 from .conftest import make_plan
-from .oracles import setwise_coprime_scan
+from .oracles import circular_delta, setwise_coprime_scan
 
 PLAN = make_plan([(1, 100_000)])  # permissive plan for hand-picked selections
 
@@ -95,22 +95,31 @@ class TestPhaseShifts:
 
 class TestVerifyAmbiguity:
     def test_coprime_pair(self):
-        assert verify_ambiguity(PLAN, (54000, 54001), 100.0, 1e-6)
+        assert verify_ambiguity(PLAN, (54000, 54001), 100.0)
 
     def test_single_tone_half_period_is_not_period(self):
         # UD = c/(2 f_min); UD/2 shifts the single phase by pi
-        assert verify_ambiguity(PLAN, (2,), 10.0, 1e-6)
+        assert verify_ambiguity(PLAN, (2,), 10.0)
 
     def test_random_selections(self):
         rng = np.random.default_rng(77)
         for _ in range(20):
             sel = sample_selection(PLAN, 4, rng)
             r = float(rng.uniform(0.0, 299_792.458))
-            assert verify_ambiguity(PLAN, sel, r, 1e-6)
+            assert verify_ambiguity(PLAN, sel, r)
 
-    def test_rejects_nonpositive_tol(self):
+    def test_rejects_slightly_wrong_ud(self, monkeypatch):
+        # A float tolerance on phases cannot see a relative UD error of 1e-13.
+        true_ud = ranging.exact_ud_m
+        scale = 1 + Fraction(1, 10**13)
+        monkeypatch.setattr(
+            ranging, "exact_ud_m", lambda plan, sel: true_ud(plan, sel) * scale
+        )
+        assert not verify_ambiguity(PLAN, (54000, 54001), 100.0)
+
+    def test_rejects_negative_distance(self):
         with pytest.raises(ValueError):
-            verify_ambiguity(PLAN, (3, 4), 1.0, 0.0)
+            verify_ambiguity(PLAN, (3, 4), -1.0)
 
 
 class TestCircularDelta:
