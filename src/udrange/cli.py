@@ -7,12 +7,15 @@ Plan file format (JSON)::
 Exit codes: 0 ok, 1 verify failure, 2 bad arguments or plan parse error,
 3 invalid selection, 4 capability exceeded (plan too large to sieve, or
 M * bit_length(N) above 14,000 for the exact method).
+A plan whose f_min_hz is so small that c / f_min_hz overflows a double
+(below about 1.67e-300) is a plan error and exits 2.
 Argument errors exit 2 with a one-line message: -m, --select, --trials or
---workers below 1, a negative --seed, M below 2 where 1/zeta(M) is asked
-(asymptotic, sweep), exact or monte_carlo without --plan, an --out path that
-cannot be written, or a UD_SIEVE_LIMIT that is not an integer >= 1 when an
-exact probability is computed. ``ud`` takes exactly one of --indices and
---select; argparse reports a breach with its usage line and exit 2.
+--workers below 1, --select above 1,000,000, a negative --seed, M below 2
+where 1/zeta(M) is asked (asymptotic, sweep), exact or monte_carlo without
+--plan, an --out path that cannot be written, or a UD_SIEVE_LIMIT that is
+not an integer >= 1 when an exact probability is computed. ``ud`` takes
+exactly one of --indices and --select; argparse reports a breach with its
+usage line and exit 2.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ EXIT_SELECTION_ERROR = 3
 EXIT_CAPABILITY = 4
 
 METHODS = ("exact", "asymptotic", "monte_carlo")
+MAX_SELECT = 1_000_000  # ud --select draws and prints every index at once
 
 
 def _int_at_least(lo: int):
@@ -107,6 +111,10 @@ def _render_prob_json(m: int, estimates: list[ProbabilityEstimate]) -> str:
 
 
 def cmd_ud(args: argparse.Namespace) -> int:
+    if args.select is not None and args.select > MAX_SELECT:
+        raise argparse.ArgumentTypeError(
+            f"--select must be <= {MAX_SELECT}, got {args.select}"
+        )
     plan = load_plan(args.plan)
     if args.indices is not None:
         selection = selection_from_indices(plan, args.indices.split(","))

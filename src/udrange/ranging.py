@@ -7,9 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .numtheory import gcd_all
-from .spectrum import FrequencyPlan
-
-SPEED_OF_LIGHT_M_S = 299_792_458
+from .spectrum import SPEED_OF_LIGHT_M_S, FrequencyPlan
 
 TWO_PI = 2.0 * math.pi
 

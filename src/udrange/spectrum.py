@@ -11,6 +11,8 @@ from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
+SPEED_OF_LIGHT_M_S = 299_792_458
+
 
 class PlanError(ValueError):
     """Raised for structurally invalid frequency plans."""
@@ -62,10 +64,12 @@ def validate_plan(raw: Mapping[str, Any]) -> FrequencyPlan:
 
     Accepts ``{"f_min_hz": number, "segments": [{"start_index", "count"}, ...]}``.
     Segments are sorted by start index. f_min must be a finite positive
-    number and both segment fields integers; bools, strings, fractional or
-    non-finite values, overlaps, zero counts, zero start indices and indices
-    above 2**63 - 1 (sampling maps positions through int64 arrays) are
-    rejected, never coerced, as is a raw value that is not a mapping.
+    number for which the maximal UD c / f_min is a finite double (f_min above
+    about 1.67e-300), and both segment fields integers; bools, strings,
+    fractional or non-finite values, overlaps, zero counts, zero start
+    indices and indices above 2**63 - 1 (sampling maps positions through
+    int64 arrays) are rejected, never coerced, as is a raw value that is not
+    a mapping.
     """
     if not isinstance(raw, Mapping):
         raise PlanError(f"plan must be a JSON object, got {type(raw).__name__}")
@@ -82,6 +86,8 @@ def validate_plan(raw: Mapping[str, Any]) -> FrequencyPlan:
         f_min = math.inf
     if not 0 < f_min < math.inf:
         raise PlanError(f"f_min_hz must be finite and positive, got {f_min}")
+    if SPEED_OF_LIGHT_M_S / f_min == math.inf:
+        raise PlanError(f"f_min_hz is too small: c / f_min_hz overflows, got {f_min}")
     if not isinstance(raw_segments, (list, tuple)):
         raise PlanError(f"segments must be a list, got {raw_segments!r}")
     if not raw_segments:

@@ -96,6 +96,18 @@ class TestUdCommand:
         err = capsys.readouterr().err
         assert err == "error: plan must be a JSON object, got list\n"
 
+    @pytest.mark.parametrize("argv", [["ud", "--indices", "5,6"], ["prob", "-m", "3"]])
+    def test_f_min_too_small_exit_code(self, argv, tmp_path, capsys):
+        # c / 1e-310 overflows: the maximal UD used to print as inf with exit 0.
+        path = tmp_path / "plan.json"
+        path.write_text(
+            '{"f_min_hz": 1e-310, "segments": [{"start_index": 5, "count": 4}]}'
+        )
+        assert main([argv[0], "--plan", str(path), *argv[1:]]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: f_min_hz is too small")
+
     def test_outside_plan_exit_code(self, plan_files):
         code = main(
             ["ud", "--plan", plan_files["fig1_L1.json"], "--indices", "1,2"]
@@ -392,6 +404,8 @@ def exit_code(argv):
           "--trials", "10", "--workers", "-5"], 2),
         (["sweep", "--plan", L1_PLAN, "--m-range", "3..3", "--workers", "0"], 2),
         (["sweep", "--plan", L1_PLAN, "--m-range", "3..3", "--workers", "-5"], 2),
+        # Above the cap of 1,000,000: refused before any index is drawn.
+        (["ud", "--plan", L1_PLAN, "--select", "1000001"], 2),
     ],
 )
 def test_bad_arguments_exit_without_traceback(argv, expected, capsys):

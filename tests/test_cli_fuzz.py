@@ -7,7 +7,7 @@ import json
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from udrange.cli import main
+from udrange.cli import MAX_SELECT, main
 
 INT64_MAX = 2**63 - 1
 EXIT_CODES = {0, 1, 2, 3, 4}
@@ -115,7 +115,9 @@ def argvs(draw, plan_path, out_choices):
         if draw(st.booleans()):
             argv += ["--indices", draw(index_lists)]
         if draw(st.booleans()):
-            argv += ["--select", draw(mostly(st.integers(1, 12), st.integers(-2, 0)))]
+            too_many = st.integers(MAX_SELECT + 1, 10**12)
+            bad = st.one_of(st.integers(-2, 0), too_many)
+            argv += ["--select", draw(mostly(st.integers(1, 12), bad))]
         if draw(st.booleans()):
             argv += ["--seed", draw(seeds)]
     else:

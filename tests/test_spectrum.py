@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from udrange.ranging import compute_ud
 from udrange.spectrum import (
     PlanError,
     SelectionError,
@@ -67,6 +70,8 @@ class TestValidatePlan:
             [1, 2],
             "x",
             5,
+            # An f_min so small that the maximal UD c / f_min overflows.
+            {"f_min_hz": 1e-310, "segments": [{"start_index": 5, "count": 1}]},
         ],
     )
     def test_rejects_malformed(self, raw):
@@ -78,6 +83,14 @@ class TestValidatePlan:
         assert plan.last_index == 2**63 - 1
         selection = sample_selection(plan, 5, np.random.default_rng(0))
         assert selection_from_indices(plan, selection) == selection
+
+    def test_f_min_keeps_maximal_ud_finite(self):
+        # c / f_min overflows a double for f_min below about 1.67e-300.
+        smallest = make_plan([(5, 2)], f_min_hz=1.67e-300)
+        assert math.isfinite(compute_ud(smallest, (5, 6)).ud_m)
+        for f_min in (1.66e-300, 5e-324):
+            with pytest.raises(PlanError, match="too small"):
+                make_plan([(5, 1)], f_min_hz=f_min)
 
     def test_accepts_integer_and_float_f_min(self):
         for f_min in (1000, 1000.0, 2.5):
