@@ -54,13 +54,15 @@ METHODS = ("exact", "asymptotic", "monte_carlo")
 MAX_SELECT = 1_000_000  # ud --select draws and prints every index at once
 
 
-def _int_at_least(lo: int):
-    """argparse type for an integer no smaller than lo."""
+def _int_in(lo: int, hi: int | None = None):
+    """argparse type for an integer no smaller than lo and, if given, no larger than hi."""
 
     def parse(text: str) -> int:
         value = int(text)
         if value < lo:
             raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        if hi is not None and value > hi:
+            raise argparse.ArgumentTypeError(f"must be <= {hi}, got {value}")
         return value
 
     parse.__name__ = "int"  # a ValueError reads "invalid int value", as with type=int
@@ -111,10 +113,6 @@ def _render_prob_json(m: int, estimates: list[ProbabilityEstimate]) -> str:
 
 
 def cmd_ud(args: argparse.Namespace) -> int:
-    if args.select is not None and args.select > MAX_SELECT:
-        raise argparse.ArgumentTypeError(
-            f"--select must be <= {MAX_SELECT}, got {args.select}"
-        )
     plan = load_plan(args.plan)
     if args.indices is not None:
         selection = selection_from_indices(plan, args.indices.split(","))
@@ -233,13 +231,15 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    positive, non_negative = _int_at_least(1), _int_at_least(0)
+    positive, non_negative = _int_in(1), _int_in(0)
 
     p_ud = sub.add_parser("ud", help="UD of one selection of frequencies")
     p_ud.add_argument("--plan", required=True, help="plan JSON file")
     pick = p_ud.add_mutually_exclusive_group(required=True)
     pick.add_argument("--indices", help="comma-separated grid indices")
-    pick.add_argument("--select", type=positive, help="draw this many indices at random")
+    pick.add_argument(
+        "--select", type=_int_in(1, MAX_SELECT), help="draw this many indices at random"
+    )
     p_ud.add_argument("--seed", type=non_negative, default=0)
     p_ud.add_argument("--out")
     p_ud.set_defaults(func=cmd_ud)
