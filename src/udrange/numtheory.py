@@ -1,4 +1,5 @@
-"""Number-theoretic primitives: Mobius sieve, integer-argument zeta, multi-way GCD."""
+"""Number-theoretic primitives: Mobius sieve, Mertens function, integer-argument
+zeta, multi-way GCD."""
 
 from __future__ import annotations
 
@@ -51,6 +52,48 @@ def sieve_mobius(limit: int) -> MobiusTable:
         prod[p::p] *= p
     mu[prod < np.arange(limit + 1)] *= -1
     return MobiusTable(limit=limit, values=mu)
+
+
+def mertens(values: np.ndarray) -> np.ndarray:
+    """Mertens function M(n) = mu(1) + ... + mu(n) at an int64 array of n >= 0.
+
+    With K the largest n, M below T = K^(2/3) is the cumulative sum of a sieve
+    to T. Above T, the values n // m > T of every such n are filled in one
+    ascending loop by M(v) = 1 - sum over d >= 2 of M(v // d) (Deleglise and
+    Rivat, "Computing the summation of the Mobius function", Exp. Math. 5,
+    1996): the d <= isqrt(v) are summed one by one, reading M(v // d) from the
+    sieve or from the values filled before, and the larger d are grouped by
+    their quotient q <= isqrt(v), which is below T. Each v costs O(sqrt(v))
+    vectorised steps, and there are at most K^(1/3) of them per n above T.
+    """
+    values = np.asarray(values, dtype=np.int64)
+    top = int(values.max(initial=0))
+    # T >= isqrt(K), so every quotient in a group lies inside the sieve.
+    t = max(1, round(top ** (2 / 3)))
+    small = np.cumsum(sieve_mobius(t).values)
+    # v // m for v // m > t; the set of some v already listed holds all of v's.
+    need: set[int] = set()
+    for v in np.unique(values[values > t])[::-1].tolist():
+        if v not in need:
+            need.update((v // np.arange(1, v // (t + 1) + 1)).tolist())
+    big = np.array(sorted(need), dtype=np.int64)
+    memo = np.zeros(len(big), dtype=np.int64)
+    d = np.arange(math.isqrt(top) + 2)
+    for k, v in enumerate(big.tolist()):
+        r = math.isqrt(v)
+        hi = v // (t + 1) + 1  # v // d > t exactly for 2 <= d < hi
+        s = v // (r + 1)  # largest quotient of a d > r
+        w = v // d[1 : s + 2]
+        memo[k] = 1 - (
+            memo[np.searchsorted(big, v // d[2:hi])].sum()
+            + small[v // d[hi : r + 1]].sum()
+            + np.dot(w[:-1] - w[1:], small[1 : s + 1])
+        )
+    out = np.empty(len(values), dtype=np.int64)
+    low = values <= t
+    out[low] = small[values[low]]
+    out[~low] = memo[np.searchsorted(big, values[~low])]
+    return out
 
 
 ZETA_TOL = 1e-12  # certified error bound of zeta_int

@@ -98,6 +98,29 @@ class TestCoprimalityWeights:
     def test_wide_plans_match_reference(self, plan):
         assert _coprimality_weights(plan) == coprimality_weights_ref(plan)
 
+    def test_every_single_segment_plan_to_two_hundred(self):
+        # start 1 has no lower endpoint; (1, 1) is the plan with K = 1.
+        for last in range(1, 201):
+            for start in range(1, last + 1):
+                plan = make_plan([(start, last - start + 1)])
+                weights = _coprimality_weights.__wrapped__(plan)
+                assert weights == coprimality_weights_ref(plan), (start, last)
+
+    @pytest.mark.parametrize(
+        "segments",
+        [
+            [(1, 4_999), (5_001, 5_000)],  # K = 100^2
+            [(2, 498), (501, 500)],  # K = 10^3
+            [(64, 1_000), (1_065, 3_032)],  # K = 64^2 = 16^3
+            [(1, 1), (3, 1), (5, 725)],  # K = 27^2 = 9^3
+            [(999_001, 500), (999_502, 499)],  # K = 1000^2 = 100^3
+        ],
+    )
+    def test_square_cube_and_gap_plans(self, segments):
+        # Segments are one index apart; K is a perfect square, cube or both.
+        plan = make_plan(segments)
+        assert _coprimality_weights.__wrapped__(plan) == coprimality_weights_ref(plan)
+
 
 class TestProbAsymptotic:
     def test_basel_value(self):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from udrange.numtheory import ZETA_TOL, gcd_all, sieve_mobius, zeta_int
+from udrange.numtheory import ZETA_TOL, gcd_all, mertens, sieve_mobius, zeta_int
 
 from .oracles import is_prime_trial_division, mobius_ref, zeta_ref
 
@@ -74,6 +74,26 @@ class TestSieveMobius:
             return
         table = sieve_mobius(a * b)
         assert table.values[a * b] == table.values[a] * table.values[b]
+
+
+class TestMertens:
+    def test_matches_sieve_cumsum_to_one_hundred_thousand(self):
+        ref = np.cumsum(sieve_mobius(10**5).values)
+        np.testing.assert_array_equal(mertens(np.arange(10**5 + 1)), ref)
+
+    @pytest.mark.parametrize(
+        "n,expected",
+        # OEIS A084237: M(10^n) for n = 0..10.
+        enumerate([1, -1, 1, 2, -23, -48, 212, 1037, 1928, -222, -33722]),
+    )
+    def test_powers_of_ten(self, n, expected):
+        assert mertens(np.array([10**n])).tolist() == [expected]
+
+    @given(st.lists(st.integers(0, 10**5), min_size=1, max_size=20))
+    @settings(max_examples=50, deadline=None)
+    def test_any_order_and_repeats(self, values):
+        ref = np.cumsum(sieve_mobius(10**5).values)
+        assert mertens(np.array(values)).tolist() == ref[values].tolist()
 
 
 class TestZetaInt:
