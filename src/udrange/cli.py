@@ -5,8 +5,8 @@ Plan file format (JSON)::
     {"f_min_hz": 1000, "segments": [{"start_index": 54000, "count": 32768}, ...]}
 
 Exit codes: 0 ok, 1 verify failure, 2 bad arguments or plan parse error,
-3 invalid selection, 4 capability exceeded (plan too large to sieve, or
-M * bit_length(N) above 14,000 for the exact method).
+3 invalid selection, 4 capability exceeded (for the exact method, a largest
+plan index above UD_SIEVE_LIMIT, or M * bit_length(N) above 14,000).
 A plan whose f_min_hz is so small that c / f_min_hz overflows a double
 (below about 1.67e-300) is a plan error and exits 2.
 Argument errors exit 2 with a one-line message: -m, --select, --trials or

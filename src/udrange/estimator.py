@@ -13,11 +13,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import sqrt
+from math import isqrt, sqrt
 
 import numpy as np
 
-from .numtheory import gcd_all, sieve_mobius, zeta_int
+from .numtheory import gcd_all, mertens, zeta_int
 from .spectrum import FrequencyPlan, count_multiples_upto, sample_selection_batch
 
 DEFAULT_SIEVE_LIMIT = 10_000_000
@@ -28,8 +28,8 @@ MC_BLOCK_SIZE = 65_536  # fixed so results never depend on worker count
 
 
 class CapabilityError(RuntimeError):
-    """The plan's largest index exceeds the sieve limit, or N^M is too large
-    for the exact big-integer sum to be printed."""
+    """The plan's largest index exceeds UD_SIEVE_LIMIT, the exact method's cap
+    on K, or N^M is too large for the exact big-integer sum to be printed."""
 
 
 class SieveLimitSettingError(ValueError):
@@ -68,18 +68,29 @@ class ProbabilityEstimate:
 def _coprimality_weights(plan: FrequencyPlan) -> tuple[tuple[int, int], ...]:
     """Aggregate Mobius weights by multiple-count value.
 
-    For each j up to the plan's largest index let x_j be the number of plan
+    For each j up to the plan's largest index K let x_j be the number of plan
     indices divisible by j. Returns pairs (v, sum of mu(j) over j with
-    x_j = v), so that Z = sum_v w_v * v^M for every M. x_j = 0 beyond the
-    largest index, so the cutoff is exact, and grouping by value keeps the
-    big-integer sum short. Only squarefree j (mu(j) != 0) are counted.
+    x_j = v), so that Z = sum_v w_v * v^M for every M. x_j = 0 beyond K, so
+    the cutoff is exact, and grouping by value keeps the big-integer sum short.
+
+    x_j sums +/-(n // j) over the segment endpoints n (each end, and each
+    start - 1 > 0), so it is constant on blocks of j whose right ends b are
+    1..isqrt(K) and every n // q with q <= isqrt(n): O(L sqrt K) blocks for L
+    segments. A block (a, b] adds M(b) - M(a), its sum of mu by the Mertens
+    function, to the bin of x_b; mu is never tabulated up to K.
     """
-    mu = sieve_mobius(plan.last_index).values
-    j = np.flatnonzero(mu)
-    x = count_multiples_upto(plan, j)
+    ends = [n for s in plan.segments for n in (s.end, s.start - 1) if n > 0]
+    b = np.arange(1, isqrt(plan.last_index) + 1)
+    for n in ends:
+        # A stable sort merges the two ascending runs in linear time.
+        b = np.concatenate((b, n // np.arange(isqrt(n), 0, -1)))
+        b.sort(kind="stable")
+        b = b[np.diff(b, prepend=0) > 0]
+    mu_sums = np.diff(mertens(b), prepend=0)
+    x = count_multiples_upto(plan, b)
     hit = x > 0
-    weights = np.bincount(x[hit], weights=mu[j[hit]])
-    # Each bin is a sum of +/-1 terms, far below 2**53: the float sums are exact.
+    weights = np.bincount(x[hit], weights=mu_sums[hit])
+    # A bin's partial sums stay within +/-K, far below 2**53: the float sums are exact.
     return tuple((int(v), int(weights[v])) for v in np.flatnonzero(weights))
 
 
@@ -88,10 +99,11 @@ def prob_exact(plan: FrequencyPlan, m: int) -> ProbabilityEstimate:
 
     The alternating sum cancels catastrophically in floating point and N^M
     overflows fixed-width types, so everything stays integer until the final
-    rounding. Raises CapabilityError when the plan's largest index exceeds
-    the sieve limit (default 10^7, override via UD_SIEVE_LIMIT) or when
-    M * bit_length(N) exceeds EXACT_MAX_BITS, which keeps N^M below 10^4215,
-    inside the 4,300 digits Python prints by default, and
+    rounding. The weights come from a sieve of mu to about K^(2/3) and the
+    Mertens function (see _coprimality_weights). Raises CapabilityError when
+    the plan's largest index K exceeds the cap UD_SIEVE_LIMIT (default 10^7)
+    or when M * bit_length(N) exceeds EXACT_MAX_BITS, which keeps N^M below
+    10^4215, inside the 4,300 digits Python prints by default, and
     SieveLimitSettingError when UD_SIEVE_LIMIT is not an integer >= 1.
     """
     if m < 1:

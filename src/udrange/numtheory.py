@@ -71,7 +71,8 @@ def mertens(values: np.ndarray) -> np.ndarray:
     # T >= isqrt(K), so every quotient in a group lies inside the sieve.
     t = max(1, round(top ** (2 / 3)))
     small = np.cumsum(sieve_mobius(t).values)
-    # v // m for v // m > t; the set of some v already listed holds all of v's.
+    # Every v // m > t of each v > t asked for. A v already listed is some
+    # u // m, so its own quotients are u's too and it adds nothing.
     need: set[int] = set()
     for v in np.unique(values[values > t])[::-1].tolist():
         if v not in need:
@@ -83,7 +84,7 @@ def mertens(values: np.ndarray) -> np.ndarray:
         r = math.isqrt(v)
         hi = v // (t + 1) + 1  # v // d > t exactly for 2 <= d < hi
         s = v // (r + 1)  # largest quotient of a d > r
-        w = v // d[1 : s + 2]
+        w = v // d[1 : s + 2]  # w[q - 1] - w[q] values of d give v // d = q
         memo[k] = 1 - (
             memo[np.searchsorted(big, v // d[2:hi])].sum()
             + small[v // d[hi : r + 1]].sum()

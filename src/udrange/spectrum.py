@@ -139,7 +139,7 @@ def count_multiples_upto(plan: FrequencyPlan, j: np.ndarray) -> np.ndarray:
     """Multiple counts of the plan's index set over an int64 array of j >= 1.
 
     Entry [i] is x_{j[i]}, the number of plan indices divisible by j[i]. The
-    exact method passes only the squarefree j <= K, where mu(j) != 0.
+    exact method passes the right ends of its blocks of j with constant x_j.
     """
     x = np.zeros(len(j), dtype=np.int64)
     for s in plan.segments:

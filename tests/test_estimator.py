@@ -121,6 +121,18 @@ class TestCoprimalityWeights:
         plan = make_plan(segments)
         assert _coprimality_weights.__wrapped__(plan) == coprimality_weights_ref(plan)
 
+    def test_memory_stays_small_at_the_sieve_cap(self):
+        # K = 9,999,999 and N = 2^20: a table of mu up to K alone takes 10 MB.
+        plan = make_plan([(8_951_424, 2**20)])
+        assert plan.last_index == 9_999_999
+        tracemalloc.start()
+        try:
+            _coprimality_weights.__wrapped__(plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
 
 class TestProbAsymptotic:
     def test_basel_value(self):
