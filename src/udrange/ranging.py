@@ -25,10 +25,11 @@ def compute_ud(plan: FrequencyPlan, selection: tuple[int, ...]) -> UdResult:
     """Unambiguous distance c / (k * f_min), k = gcd of the selected indices.
 
     The distance is the LCM of the selected wavelengths; a single-frequency
-    selection degenerates to its own wavelength.
+    selection degenerates to its own wavelength. It is rounded once from the
+    exact rational, since k * f_min can overflow a double.
     """
     k = gcd_all(selection)
-    ud = SPEED_OF_LIGHT_M_S / (k * plan.f_min_hz)
+    ud = float(exact_ud_m(plan, selection))
     return UdResult(gcd_k=k, ud_m=ud, is_max=(k == 1))
 
 

@@ -108,6 +108,17 @@ class TestUdCommand:
         assert out == "" and err.count("\n") == 1
         assert err.startswith("error: f_min_hz is too small")
 
+    def test_huge_f_min_and_gcd_give_a_finite_ud(self, tmp_path, capsys):
+        # k * f_min overflows a double to inf: the UD used to print as 0.0.
+        path = tmp_path / "plan.json"
+        path.write_text(
+            '{"f_min_hz": 1e300, "segments": '
+            '[{"start_index": 4611686018427387904, "count": 2}]}'
+        )
+        argv = ["ud", "--plan", str(path), "--indices", "4611686018427387904"]
+        assert main(argv) == 0
+        assert "ud_m = 6.5007126851674e-311\n" in capsys.readouterr().out
+
     def test_outside_plan_exit_code(self, plan_files):
         code = main(
             ["ud", "--plan", plan_files["fig1_L1.json"], "--indices", "1,2"]
