@@ -68,6 +68,17 @@ class TestUdCommand:
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
 
+    def test_random_selection_is_pinned(self, plan_files, capsys):
+        args = ["ud", "--plan", plan_files["fig1_L12.json"], "--select", "7", "--seed", "3"]
+        assert main(args) == 0
+        assert capsys.readouterr().out == (
+            "indices = 662009,121408,189083,190963,189146,661674,728503\n"
+            "gcd = 1\n"
+            "ud_m = 299792.458\n"
+            "ud_km = 299.792458\n"
+            "is_max = true\n"
+        )
+
     def test_malformed_plan_exit_code(self, bad_plan_file, capsys):
         assert main(["ud", "--plan", bad_plan_file, "--indices", "10"]) == 2
         assert "overlap" in capsys.readouterr().err

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from udrange import estimator
+from udrange import estimator, fig1
 from udrange.estimator import (
     EXACT_MAX_BITS,
     MC_BLOCK_SIZE,
@@ -22,6 +22,12 @@ from udrange.estimator import (
 
 from .conftest import make_plan, small_plans
 from .oracles import coprime_fraction_brute, coprimality_weights_ref, zeta_ref
+
+
+# 40 segments, two of every three a single index.
+FORTY_SEGMENTS = make_plan([(12 * i + 5, 1 if i % 3 else 9) for i in range(40)])
+# Last index 2**31 + 2,999: the draws do not fit in int32.
+PAST_INT32 = make_plan([(1_000, 5_000), (2**31 - 3_000, 6_000)])
 
 
 def exact_fraction(estimate) -> Fraction:
@@ -229,6 +235,21 @@ class TestProbMonteCarlo:
         assert seen["max_workers"] and max(seen["max_workers"]) <= 2
         assert seen["tasks"] <= 2
         assert wide == serial
+
+    @pytest.mark.parametrize(
+        "plan, m, trials, seed, hits",
+        [
+            (fig1.make_plan(1), 3, 140_000, 2026, 116_518),
+            (fig1.make_plan(1), 13, 140_000, 2026, 139_985),
+            (fig1.make_plan(12), 3, 140_000, 2026, 116_655),
+            (fig1.make_plan(12), 13, 140_000, 2026, 139_976),
+            (FORTY_SEGMENTS, 2, 70_000, 11, 52_417),
+            (FORTY_SEGMENTS, 5, 70_000, 11, 69_391),
+            (PAST_INT32, 3, 70_000, 13, 58_258),
+        ],
+    )
+    def test_seeded_stream_is_pinned(self, plan, m, trials, seed, hits):
+        assert prob_montecarlo(plan, m, trials, seed=seed).value == hits / trials
 
     def test_all_singleton_plan_stops_at_its_gcd(self):
         plan = make_plan([(2, 1), (4, 1)])
