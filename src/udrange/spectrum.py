@@ -6,6 +6,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Any, Iterator, Mapping, Sequence
 
@@ -154,21 +155,55 @@ def enumerate_indices(plan: FrequencyPlan) -> Iterator[int]:
         yield from range(s.start, s.end + 1)
 
 
+@lru_cache(maxsize=32)
+def _position_layout(
+    plan: FrequencyPlan,
+) -> tuple[np.ndarray, np.ndarray, int, np.ndarray, np.ndarray]:
+    """Map from flat positions 0..N-1 to grid indices: (cum, shift, s, table, straddle).
+
+    Position p lies in segment searchsorted(cum, p, side="right") and maps to
+    p + shift[segment]. Buckets of 2**s positions, at most min(2**16, 64 L)
+    of them, hold table[b], the shift at bucket b's first position, and
+    straddle[b], whether a segment boundary falls inside bucket b. Arrays are
+    int32 when the plan's last index is below 2**31, else int64.
+    """
+    dtype = np.int32 if plan.last_index < 2**31 else np.int64
+    counts = np.array([s.count for s in plan.segments], dtype=dtype)
+    cum = np.cumsum(counts, dtype=dtype)
+    shift = np.array([s.start for s in plan.segments], dtype=dtype) - (cum - counts)
+    last = plan.n_frequencies - 1
+    s = (last // min(2**16, 64 * plan.n_segments)).bit_length()
+    first = np.arange((last >> s) + 1, dtype=dtype) << s
+    # first | (2**s - 1) <= last | (2**s - 1) < 2**63: no bucket end overflows.
+    segment = np.searchsorted(cum, first, side="right")
+    straddle = segment != np.searchsorted(
+        cum, np.minimum(first | ((1 << s) - 1), last), side="right"
+    )
+    return cum, shift, s, shift[segment], straddle
+
+
 def sample_selection_batch(
     plan: FrequencyPlan, size: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Draw size grid indices independently and uniformly from the plan's set.
 
-    Returns a 1-D int64 array; advances the generator. Flat positions
-    0..N-1 are shifted onto their segments' grid indices.
+    Returns a 1-D array, int32 when the plan's last index is below 2**31 and
+    int64 otherwise; advances the generator. Flat positions 0..N-1 are shifted
+    onto their segments' grid indices through a per-plan bucket table (see
+    _position_layout): one gather per draw, and a binary search only for the
+    draws in the few buckets that a segment boundary splits. Below 2**32,
+    numpy draws int32 and int64 from the same 32-bit stream, so the indices
+    for a given generator state do not depend on the dtype.
     """
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
-    counts = np.array([s.count for s in plan.segments], dtype=np.int64)
-    cum = np.cumsum(counts)
-    shift = np.array([s.start for s in plan.segments], dtype=np.int64) - (cum - counts)
-    positions = rng.integers(0, plan.n_frequencies, size=size, dtype=np.int64)
-    return positions + shift[np.searchsorted(cum, positions, side="right")]
+    cum, shift, s, table, straddle = _position_layout(plan)
+    positions = rng.integers(0, plan.n_frequencies, size=size, dtype=cum.dtype)
+    bucket = positions >> s
+    out = positions + table[bucket]
+    amb = np.flatnonzero(straddle[bucket])
+    out[amb] = positions[amb] + shift[np.searchsorted(cum, positions[amb], side="right")]
+    return out
 
 
 def sample_selection(

@@ -3,7 +3,7 @@
 Everything here deliberately avoids the code paths under test: mu comes from
 sympy, zeta from mpmath, tuple counting from plain itertools + math.gcd, and
 the exact method's weights from a plain sieve over every prime with full-range
-multiple counts.
+multiple counts, and sampled grid indices from a binary search per draw.
 """
 
 from __future__ import annotations
@@ -89,6 +89,15 @@ def coprimality_weights_ref(plan: FrequencyPlan) -> tuple[tuple[int, int], ...]:
     mask = (mu != 0) & (x > 0)
     weights = np.bincount(x[mask], weights=mu[mask].astype(np.float64))
     return tuple((int(v), int(weights[v])) for v in np.flatnonzero(weights))
+
+
+def sample_selection_ref(plan: FrequencyPlan, positions) -> np.ndarray:
+    """Grid indices at flat positions 0..N-1, one binary search over the segment ends each."""
+    counts = np.array([s.count for s in plan.segments], dtype=np.int64)
+    cum = np.cumsum(counts)
+    shift = np.array([s.start for s in plan.segments], dtype=np.int64) - (cum - counts)
+    positions = np.asarray(positions, dtype=np.int64)
+    return positions + shift[np.searchsorted(cum, positions, side="right")]
 
 
 def circular_delta(a: float, b: float) -> float:

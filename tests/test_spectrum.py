@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from udrange import spectrum
 from udrange.ranging import compute_ud
 from udrange.spectrum import (
     PlanError,
@@ -17,7 +19,7 @@ from udrange.spectrum import (
 )
 
 from .conftest import make_plan, small_plans
-from .oracles import count_multiples_brute
+from .oracles import count_multiples_brute, sample_selection_ref
 
 
 class TestValidatePlan:
@@ -189,6 +191,89 @@ class TestSampling:
             sample_selection(plan, 0, rng)
         with pytest.raises(ValueError):
             sample_selection_batch(plan, 0, rng)
+
+
+class StubGenerator:
+    """Stands in for np.random.Generator: integers returns the given positions."""
+
+    def __init__(self, positions):
+        self.positions = positions
+        self.calls = []
+
+    def integers(self, low, high, size, dtype):
+        self.calls.append((low, high, size))
+        return np.array(self.positions, dtype=dtype)
+
+
+def edge_positions(plan):
+    """Each segment's and each bucket's first and last flat position, and N - 1."""
+    _, _, s, table, _ = spectrum._position_layout(plan)
+    last = plan.n_frequencies - 1
+    positions = {last}
+    first = 0
+    for seg in plan.segments:
+        positions.update((first, first + seg.count - 1))
+        first += seg.count
+    for b in range(len(table)):
+        positions.update((b << s, min(((b + 1) << s) - 1, last)))
+    return sorted(positions)
+
+
+def expected_dtype(plan):
+    return np.int32 if plan.last_index < 2**31 else np.int64
+
+
+@st.composite
+def sampling_plans(draw):
+    """Up to 40 segments, many of one index, with gaps up to 2**55."""
+    counts = draw(
+        st.lists(st.one_of(st.just(1), st.integers(1, 10**5)), min_size=1, max_size=40)
+    )
+    scale = draw(st.sampled_from([1, 1_000, 2**26, 2**31, 2**55]))
+    segments = []
+    start = 1 + draw(st.integers(0, scale))
+    for count in counts:
+        segments.append((start, count))
+        start += count + draw(st.integers(1, scale))
+    return make_plan(segments)
+
+
+class TestPositionMapping:
+    @pytest.mark.parametrize(
+        "segments",
+        [
+            [(5, 100), (2**31 - 1_000, 1_000)],  # last index 2**31 - 1
+            [(5, 100), (2**31 - 999, 1_000)],  # last index 2**31
+            [(7, 1)],  # N = 1
+            [(101 * i + 1, 1 + 37 * i % 100) for i in range(5_000)],  # L = 5000
+            [(1, 2**63 - 10), (2**63 - 8, 8)],  # a boundary in the last bucket
+        ],
+    )
+    def test_edge_positions_match_reference(self, segments):
+        plan = make_plan(segments)
+        positions = edge_positions(plan)
+        rng = StubGenerator(positions)
+        out = sample_selection_batch(plan, len(positions), rng)
+        assert rng.calls == [(0, plan.n_frequencies, len(positions))]
+        assert out.dtype == expected_dtype(plan)
+        assert out.tolist() == sample_selection_ref(plan, positions).tolist()
+        table = spectrum._position_layout(plan)[3]
+        assert len(table) <= min(2**16, 64 * plan.n_segments)
+
+    @given(plan=sampling_plans(), seed=st.integers(0, 2**32))
+    @settings(max_examples=60, deadline=None)
+    def test_random_plans_match_reference(self, plan, seed):
+        positions = edge_positions(plan)
+        out = sample_selection_batch(plan, len(positions), StubGenerator(positions))
+        assert out.dtype == expected_dtype(plan)
+        assert out.tolist() == sample_selection_ref(plan, positions).tolist()
+        # The same generator state gives the same indices as int64 draws.
+        drawn = sample_selection_batch(plan, 1_000, np.random.default_rng(seed))
+        reference = np.random.default_rng(seed).integers(
+            0, plan.n_frequencies, size=1_000, dtype=np.int64
+        )
+        assert drawn.dtype == expected_dtype(plan)
+        assert drawn.tolist() == sample_selection_ref(plan, reference).tolist()
 
 
 class TestSelectionFromIndices:
