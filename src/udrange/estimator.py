@@ -89,9 +89,11 @@ def _coprimality_weights(plan: FrequencyPlan) -> tuple[tuple[int, int], ...]:
     mu_sums = np.diff(mertens(b), prepend=0)
     x = count_multiples_upto(plan, b)
     hit = x > 0
-    weights = np.bincount(x[hit], weights=mu_sums[hit])
+    # Bin over the distinct counts, not 0..max(x): about N + 1 slots otherwise.
+    values, bins = np.unique(x[hit], return_inverse=True)
+    weights = np.bincount(bins, weights=mu_sums[hit])
     # A bin's partial sums stay within +/-K, far below 2**53: the float sums are exact.
-    return tuple((int(v), int(weights[v])) for v in np.flatnonzero(weights))
+    return tuple((int(values[i]), int(weights[i])) for i in np.flatnonzero(weights))
 
 
 def prob_exact(plan: FrequencyPlan, m: int) -> ProbabilityEstimate:
