@@ -159,6 +159,10 @@ def prob_montecarlo(
     time into a running gcd and drops the rows that reach G, the gcd of the
     whole index set, so its memory does not grow with M. Up to
     min(workers, blocks, CPU count) threads each sum a stride of blocks.
+    Columns come from sample_selection_batch, which maps draws through a
+    cached per-plan bucket table and returns int32 when the plan's last index
+    is below 2**31 (int64 otherwise), so the gcd runs in int32 there; the
+    drawn indices, and so the estimate, do not depend on that dtype.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")

@@ -159,10 +159,10 @@ def enumerate_indices(plan: FrequencyPlan) -> Iterator[int]:
 def _position_layout(
     plan: FrequencyPlan,
 ) -> tuple[np.ndarray, np.ndarray, int, np.ndarray, np.ndarray]:
-    """Map from flat positions 0..N-1 to grid indices: (cum, shift, s, table, straddle).
+    """How flat positions 0..N-1 map to grid indices: cum, shift, bits, table, straddle.
 
     Position p lies in segment searchsorted(cum, p, side="right") and maps to
-    p + shift[segment]. Buckets of 2**s positions, at most min(2**16, 64 L)
+    p + shift[segment]. Buckets of 2**bits positions, at most min(2**16, 64 L)
     of them, hold table[b], the shift at bucket b's first position, and
     straddle[b], whether a segment boundary falls inside bucket b. Arrays are
     int32 when the plan's last index is below 2**31, else int64.
@@ -172,14 +172,14 @@ def _position_layout(
     cum = np.cumsum(counts, dtype=dtype)
     shift = np.array([s.start for s in plan.segments], dtype=dtype) - (cum - counts)
     last = plan.n_frequencies - 1
-    s = (last // min(2**16, 64 * plan.n_segments)).bit_length()
-    first = np.arange((last >> s) + 1, dtype=dtype) << s
-    # first | (2**s - 1) <= last | (2**s - 1) < 2**63: no bucket end overflows.
+    bits = (last // min(2**16, 64 * plan.n_segments)).bit_length()
+    first = np.arange((last >> bits) + 1, dtype=dtype) << bits
+    # A bucket's last position, first | (2**bits - 1), is below 2**63: no overflow.
     segment = np.searchsorted(cum, first, side="right")
     straddle = segment != np.searchsorted(
-        cum, np.minimum(first | ((1 << s) - 1), last), side="right"
+        cum, np.minimum(first | ((1 << bits) - 1), last), side="right"
     )
-    return cum, shift, s, shift[segment], straddle
+    return cum, shift, bits, shift[segment], straddle
 
 
 def sample_selection_batch(
@@ -197,12 +197,13 @@ def sample_selection_batch(
     """
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
-    cum, shift, s, table, straddle = _position_layout(plan)
+    cum, shift, bits, table, straddle = _position_layout(plan)
     positions = rng.integers(0, plan.n_frequencies, size=size, dtype=cum.dtype)
-    bucket = positions >> s
+    bucket = positions >> bits
     out = positions + table[bucket]
     amb = np.flatnonzero(straddle[bucket])
-    out[amb] = positions[amb] + shift[np.searchsorted(cum, positions[amb], side="right")]
+    split = positions[amb]
+    out[amb] = split + shift[np.searchsorted(cum, split, side="right")]
     return out
 
 

@@ -92,7 +92,7 @@ def coprimality_weights_ref(plan: FrequencyPlan) -> tuple[tuple[int, int], ...]:
 
 
 def sample_selection_ref(plan: FrequencyPlan, positions) -> np.ndarray:
-    """Grid indices at flat positions 0..N-1, one binary search over the segment ends each."""
+    """Grid indices at flat positions 0..N-1 by a binary search over segment ends."""
     counts = np.array([s.count for s in plan.segments], dtype=np.int64)
     cum = np.cumsum(counts)
     shift = np.array([s.start for s in plan.segments], dtype=np.int64) - (cum - counts)

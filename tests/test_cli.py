@@ -69,8 +69,8 @@ class TestUdCommand:
         assert a.stdout == b.stdout
 
     def test_random_selection_is_pinned(self, plan_files, capsys):
-        args = ["ud", "--plan", plan_files["fig1_L12.json"], "--select", "7", "--seed", "3"]
-        assert main(args) == 0
+        plan = plan_files["fig1_L12.json"]
+        assert main(["ud", "--plan", plan, "--select", "7", "--seed", "3"]) == 0
         assert capsys.readouterr().out == (
             "indices = 662009,121408,189083,190963,189146,661674,728503\n"
             "gcd = 1\n"

@@ -207,7 +207,7 @@ class StubGenerator:
 
 def edge_positions(plan):
     """Each segment's and each bucket's first and last flat position, and N - 1."""
-    _, _, s, table, _ = spectrum._position_layout(plan)
+    _, _, bits, table, _ = spectrum._position_layout(plan)
     last = plan.n_frequencies - 1
     positions = {last}
     first = 0
@@ -215,7 +215,7 @@ def edge_positions(plan):
         positions.update((first, first + seg.count - 1))
         first += seg.count
     for b in range(len(table)):
-        positions.update((b << s, min(((b + 1) << s) - 1, last)))
+        positions.update((b << bits, min(((b + 1) << bits) - 1, last)))
     return sorted(positions)
 
 
