@@ -12,13 +12,12 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from math import isqrt, sqrt
+from math import sqrt
 
 import numpy as np
 
-from .numtheory import gcd_all, mertens, zeta_int
-from .spectrum import FrequencyPlan, count_multiples_upto, sample_selection_batch
+from .numtheory import gcd_all, zeta_int
+from .spectrum import FrequencyPlan, sample_selection_batch
 
 DEFAULT_SIEVE_LIMIT = 10_000_000
 SIEVE_LIMIT_ENV = "UD_SIEVE_LIMIT"
@@ -64,49 +63,18 @@ class ProbabilityEstimate:
     exact_denominator: int | None = field(default=None, repr=False)
 
 
-@lru_cache(maxsize=32)
-def _coprimality_weights(plan: FrequencyPlan) -> tuple[tuple[int, int], ...]:
-    """Aggregate Mobius weights by multiple-count value.
-
-    For each j up to the plan's largest index K let x_j be the number of plan
-    indices divisible by j. Returns pairs (v, sum of mu(j) over j with
-    x_j = v), so that Z = sum_v w_v * v^M for every M. x_j = 0 beyond K, so
-    the cutoff is exact, and grouping by value keeps the big-integer sum short.
-
-    x_j sums +/-(n // j) over the segment endpoints n (each end, and each
-    start - 1 > 0), so it is constant on blocks of j whose right ends b are
-    1..isqrt(K) and every n // q with q <= isqrt(n): O(L sqrt K) blocks for L
-    segments. A block (a, b] adds M(b) - M(a), its sum of mu by the Mertens
-    function, to the bin of x_b; mu is never tabulated up to K.
-    """
-    ends = [n for s in plan.segments for n in (s.end, s.start - 1) if n > 0]
-    b = np.arange(1, isqrt(plan.last_index) + 1)
-    for n in ends:
-        # A stable sort merges the two ascending runs in linear time.
-        b = np.concatenate((b, n // np.arange(isqrt(n), 0, -1)))
-        b.sort(kind="stable")
-        b = b[np.diff(b, prepend=0) > 0]
-    mu_sums = np.diff(mertens(b), prepend=0)
-    x = count_multiples_upto(plan, b)
-    hit = x > 0
-    # Bin over the distinct counts, not 0..max(x): about N + 1 slots otherwise.
-    values, bins = np.unique(x[hit], return_inverse=True)
-    weights = np.bincount(bins, weights=mu_sums[hit])
-    # A bin's partial sums stay within +/-K, far below 2**53: the float sums are exact.
-    return tuple((int(values[i]), int(weights[i])) for i in np.flatnonzero(weights))
-
-
 def prob_exact(plan: FrequencyPlan, m: int) -> ProbabilityEstimate:
     """Exact P = Z / N^M with Z = sum_j mu(j) * x_j^M in big-integer arithmetic.
 
     The alternating sum cancels catastrophically in floating point and N^M
     overflows fixed-width types, so everything stays integer until the final
-    rounding. The weights come from a sieve of mu to about K^(2/3) and the
-    Mertens function (see _coprimality_weights). Raises CapabilityError when
-    the plan's largest index K exceeds the cap UD_SIEVE_LIMIT (default 10^7)
-    or when M * bit_length(N) exceeds EXACT_MAX_BITS, which keeps N^M below
-    10^4215, inside the 4,300 digits Python prints by default, and
-    SieveLimitSettingError when UD_SIEVE_LIMIT is not an integer >= 1.
+    rounding. The weights, the plan's cached coprimality_weights, come from a
+    sieve of mu to about K^(2/3) and the Mertens function. Raises
+    CapabilityError when the plan's largest index K exceeds the cap
+    UD_SIEVE_LIMIT (default 10^7) or when M * bit_length(N) exceeds
+    EXACT_MAX_BITS, which keeps N^M below 10^4215, inside the 4,300 digits
+    Python prints by default, and SieveLimitSettingError when UD_SIEVE_LIMIT
+    is not an integer >= 1.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
@@ -122,7 +90,7 @@ def prob_exact(plan: FrequencyPlan, m: int) -> ProbabilityEstimate:
             f"exact method needs M * bit_length(N) <= {EXACT_MAX_BITS}, "
             f"got {m} * {bits} = {m * bits}"
         )
-    z = sum(w * v**m for v, w in _coprimality_weights(plan))
+    z = sum(w * v**m for v, w in plan.coprimality_weights)
     denom = plan.n_frequencies**m
     return ProbabilityEstimate(
         value=float(Fraction(z, denom)),
@@ -159,8 +127,8 @@ def prob_montecarlo(
     time into a running gcd and drops the rows that reach G, the gcd of the
     whole index set, so its memory does not grow with M. Up to
     min(workers, blocks, CPU count) threads each sum a stride of blocks.
-    Columns come from sample_selection_batch, which maps draws through a
-    cached per-plan bucket table and returns int32 when the plan's last index
+    Columns come from sample_selection_batch, which maps draws through the
+    plan's cached bucket table and returns int32 when the plan's last index
     is below 2**31 (int64 otherwise), so the gcd runs in int32 there; the
     drawn indices, and so the estimate, do not depend on that dtype.
     """

@@ -29,7 +29,7 @@ def compute_ud(plan: FrequencyPlan, selection: tuple[int, ...]) -> UdResult:
     exact rational, since k * f_min can overflow a double.
     """
     k = gcd_all(selection)
-    ud = float(exact_ud_m(plan, selection))
+    ud = float(exact_ud_m(plan, (k,)))  # (k,) has the selection's UD
     return UdResult(gcd_k=k, ud_m=ud, is_max=(k == 1))
 
 

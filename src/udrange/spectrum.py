@@ -6,11 +6,13 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
+
+from .numtheory import mertens
 
 SPEED_OF_LIGHT_M_S = 299_792_458
 
@@ -41,7 +43,8 @@ class FrequencyPlan:
     """Available bandwidth: f_min grid spacing plus disjoint index segments.
 
     Segment l covers grid indices [a_l, a_l + count_l - 1], i.e. frequencies
-    a_l * f_min .. (a_l + count_l - 1) * f_min.
+    a_l * f_min .. (a_l + count_l - 1) * f_min. State derived from the plan is
+    computed once per object, on first use, and freed with it.
     """
 
     f_min_hz: float
@@ -51,13 +54,69 @@ class FrequencyPlan:
     def n_segments(self) -> int:
         return len(self.segments)
 
-    @property
+    @cached_property
     def n_frequencies(self) -> int:
         return sum(s.count for s in self.segments)
 
     @property
     def last_index(self) -> int:
         return self.segments[-1].end
+
+    @cached_property
+    def sampler_layout(self) -> tuple[np.ndarray, np.ndarray, int, np.ndarray, np.ndarray]:
+        """Flat positions 0..N-1 to grid indices: cum, shift, bits, table, straddle.
+
+        Position p lies in segment searchsorted(cum, p, side="right") and maps
+        to p + shift[segment]. Buckets of 2**bits positions, at most
+        min(2**16, 64 L) of them, hold table[b], the shift at bucket b's first
+        position, and straddle[b], whether a segment boundary falls inside
+        bucket b. Arrays are int32 when the last index is below 2**31, else int64.
+        """
+        dtype = np.int32 if self.last_index < 2**31 else np.int64
+        counts = np.array([s.count for s in self.segments], dtype=dtype)
+        cum = np.cumsum(counts, dtype=dtype)
+        shift = np.array([s.start for s in self.segments], dtype=dtype) - (cum - counts)
+        last = self.n_frequencies - 1
+        bits = (last // min(2**16, 64 * self.n_segments)).bit_length()
+        first = np.arange((last >> bits) + 1, dtype=dtype) << bits
+        # A bucket's last position, first | (2**bits - 1), is below 2**63: no overflow.
+        segment = np.searchsorted(cum, first, side="right")
+        straddle = segment != np.searchsorted(
+            cum, np.minimum(first | ((1 << bits) - 1), last), side="right"
+        )
+        return cum, shift, bits, shift[segment], straddle
+
+    @cached_property
+    def coprimality_weights(self) -> tuple[tuple[int, int], ...]:
+        """Mobius weights aggregated by multiple-count value.
+
+        For each j up to the largest index K let x_j be the number of plan
+        indices divisible by j (see count_multiples_upto). Returns pairs
+        (v, sum of mu(j) over j with x_j = v), so that Z = sum_v w_v * v^M for
+        every M. x_j = 0 beyond K, so the cutoff is exact, and grouping by
+        value keeps the big-integer sum short.
+
+        x_j sums +/-(n // j) over the segment endpoints n (each end, and each
+        start - 1 > 0), so it is constant on blocks of j whose right ends b are
+        1..isqrt(K) and every n // q with q <= isqrt(n): O(L sqrt K) blocks for
+        L segments. A block (a, b] adds M(b) - M(a), its sum of mu by the
+        Mertens function, to the bin of x_b; mu is never tabulated up to K.
+        """
+        ends = [n for s in self.segments for n in (s.end, s.start - 1) if n > 0]
+        b = np.arange(1, math.isqrt(self.last_index) + 1)
+        for n in ends:
+            # A stable sort merges the two ascending runs in linear time.
+            b = np.concatenate((b, n // np.arange(math.isqrt(n), 0, -1)))
+            b.sort(kind="stable")
+            b = b[np.diff(b, prepend=0) > 0]
+        mu_sums = np.diff(mertens(b), prepend=0)
+        x = count_multiples_upto(self, b)
+        hit = x > 0
+        # Bin over the distinct counts, not 0..max(x): about N + 1 slots otherwise.
+        values, bins = np.unique(x[hit], return_inverse=True)
+        weights = np.bincount(bins, weights=mu_sums[hit])
+        # A bin's partial sums stay within +/-K, far below 2**53: float sums are exact.
+        return tuple((int(values[i]), int(weights[i])) for i in np.flatnonzero(weights))
 
 
 def validate_plan(raw: Mapping[str, Any]) -> FrequencyPlan:
@@ -127,11 +186,11 @@ def validate_plan(raw: Mapping[str, Any]) -> FrequencyPlan:
 
 
 def load_plan(path: str | Path) -> FrequencyPlan:
-    """Read and validate a JSON plan file."""
+    """Read and validate a JSON plan file; PlanError if it cannot be read or parsed."""
     try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        with open(path, "rb") as fh:
+            raw = json.loads(fh.read().decode("utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:
         raise PlanError(f"cannot read plan file {path}: {exc}") from exc
     return validate_plan(raw)
 
@@ -140,7 +199,7 @@ def count_multiples_upto(plan: FrequencyPlan, j: np.ndarray) -> np.ndarray:
     """Multiple counts of the plan's index set over an int64 array of j >= 1.
 
     Entry [i] is x_{j[i]}, the number of plan indices divisible by j[i]. The
-    exact method passes the right ends of its blocks of j with constant x_j.
+    plan's coprimality_weights pass the right ends of its blocks of constant x_j.
     """
     x = np.zeros(len(j), dtype=np.int64)
     for s in plan.segments:
@@ -155,33 +214,6 @@ def enumerate_indices(plan: FrequencyPlan) -> Iterator[int]:
         yield from range(s.start, s.end + 1)
 
 
-@lru_cache(maxsize=32)
-def _position_layout(
-    plan: FrequencyPlan,
-) -> tuple[np.ndarray, np.ndarray, int, np.ndarray, np.ndarray]:
-    """How flat positions 0..N-1 map to grid indices: cum, shift, bits, table, straddle.
-
-    Position p lies in segment searchsorted(cum, p, side="right") and maps to
-    p + shift[segment]. Buckets of 2**bits positions, at most min(2**16, 64 L)
-    of them, hold table[b], the shift at bucket b's first position, and
-    straddle[b], whether a segment boundary falls inside bucket b. Arrays are
-    int32 when the plan's last index is below 2**31, else int64.
-    """
-    dtype = np.int32 if plan.last_index < 2**31 else np.int64
-    counts = np.array([s.count for s in plan.segments], dtype=dtype)
-    cum = np.cumsum(counts, dtype=dtype)
-    shift = np.array([s.start for s in plan.segments], dtype=dtype) - (cum - counts)
-    last = plan.n_frequencies - 1
-    bits = (last // min(2**16, 64 * plan.n_segments)).bit_length()
-    first = np.arange((last >> bits) + 1, dtype=dtype) << bits
-    # A bucket's last position, first | (2**bits - 1), is below 2**63: no overflow.
-    segment = np.searchsorted(cum, first, side="right")
-    straddle = segment != np.searchsorted(
-        cum, np.minimum(first | ((1 << bits) - 1), last), side="right"
-    )
-    return cum, shift, bits, shift[segment], straddle
-
-
 def sample_selection_batch(
     plan: FrequencyPlan, size: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -189,15 +221,15 @@ def sample_selection_batch(
 
     Returns a 1-D array, int32 when the plan's last index is below 2**31 and
     int64 otherwise; advances the generator. Flat positions 0..N-1 are shifted
-    onto their segments' grid indices through a per-plan bucket table (see
-    _position_layout): one gather per draw, and a binary search only for the
-    draws in the few buckets that a segment boundary splits. Below 2**32,
-    numpy draws int32 and int64 from the same 32-bit stream, so the indices
-    for a given generator state do not depend on the dtype.
+    onto their segments' grid indices through the plan's bucket table (see
+    FrequencyPlan.sampler_layout): one gather per draw, and a binary search
+    only for the draws in the few buckets that a segment boundary splits.
+    Below 2**32, numpy draws int32 and int64 from the same 32-bit stream, so
+    the indices for a given generator state do not depend on the dtype.
     """
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
-    cum, shift, bits, table, straddle = _position_layout(plan)
+    cum, shift, bits, table, straddle = plan.sampler_layout
     positions = rng.integers(0, plan.n_frequencies, size=size, dtype=cum.dtype)
     bucket = positions >> bits
     out = positions + table[bucket]
@@ -211,7 +243,7 @@ def sample_selection(
     plan: FrequencyPlan, m: int, rng: np.random.Generator
 ) -> tuple[int, ...]:
     """Draw one selection of m indices, uniform with replacement."""
-    return tuple(int(k) for k in sample_selection_batch(plan, m, rng))
+    return tuple(sample_selection_batch(plan, m, rng).tolist())
 
 
 def selection_from_indices(

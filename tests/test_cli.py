@@ -107,6 +107,25 @@ class TestUdCommand:
         err = capsys.readouterr().err
         assert err == "error: plan must be a JSON object, got list\n"
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b'{"f_min_hz": 1000, "segments": [{"start_index": 5, "count": 4}]} \xff',
+            b"[" * 200_000,
+            b'{"f_min_hz": 1000, "segments": [{"start_index": 1%s, "count": 4}]}'
+            % (b"0" * 4_400),
+        ],
+        ids=["not_utf8", "nested_too_deep", "integer_too_long"],
+    )
+    def test_unparsable_plan_file_exit_code(self, data, tmp_path, capsys):
+        # Each of these used to end in a traceback and exit 1.
+        path = tmp_path / "plan.json"
+        path.write_bytes(data)
+        assert main(["ud", "--plan", str(path), "--indices", "5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read plan file {path}: ")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("argv", [["ud", "--indices", "5,6"], ["prob", "-m", "3"]])
     def test_f_min_too_small_exit_code(self, argv, tmp_path, capsys):
         # c / 1e-310 overflows: the maximal UD used to print as inf with exit 0.

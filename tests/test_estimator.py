@@ -14,11 +14,11 @@ from udrange.estimator import (
     EXACT_MAX_BITS,
     MC_BLOCK_SIZE,
     CapabilityError,
-    _coprimality_weights,
     prob_asymptotic,
     prob_exact,
     prob_montecarlo,
 )
+from udrange.spectrum import FrequencyPlan, sample_selection_batch
 
 from .conftest import make_plan, small_plans
 from .oracles import coprime_fraction_brute, coprimality_weights_ref, zeta_ref
@@ -97,19 +97,19 @@ def wide_plans(draw, k_max=100_000, max_segments=6):
 class TestCoprimalityWeights:
     def test_fig1_plans_match_reference(self, fig1_plans):
         for plan in fig1_plans:
-            assert _coprimality_weights(plan) == coprimality_weights_ref(plan)
+            assert plan.coprimality_weights == coprimality_weights_ref(plan)
 
     @given(plan=wide_plans())
     @settings(max_examples=30, deadline=None)
     def test_wide_plans_match_reference(self, plan):
-        assert _coprimality_weights(plan) == coprimality_weights_ref(plan)
+        assert plan.coprimality_weights == coprimality_weights_ref(plan)
 
     def test_every_single_segment_plan_to_two_hundred(self):
         # start 1 has no lower endpoint; (1, 1) is the plan with K = 1.
         for last in range(1, 201):
             for start in range(1, last + 1):
                 plan = make_plan([(start, last - start + 1)])
-                weights = _coprimality_weights.__wrapped__(plan)
+                weights = plan.coprimality_weights
                 assert weights == coprimality_weights_ref(plan), (start, last)
 
     @pytest.mark.parametrize(
@@ -125,7 +125,7 @@ class TestCoprimalityWeights:
     def test_square_cube_and_gap_plans(self, segments):
         # Segments are one index apart; K is a perfect square, cube or both.
         plan = make_plan(segments)
-        assert _coprimality_weights.__wrapped__(plan) == coprimality_weights_ref(plan)
+        assert plan.coprimality_weights == coprimality_weights_ref(plan)
 
     def test_memory_stays_small_at_the_sieve_cap(self):
         # K = 9,999,999 and N = 2^20: a table of mu up to K alone takes 10 MB.
@@ -133,11 +133,22 @@ class TestCoprimalityWeights:
         assert plan.last_index == 9_999_999
         tracemalloc.start()
         try:
-            _coprimality_weights.__wrapped__(plan)
+            plan.coprimality_weights
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+
+def test_no_plan_is_hashed(monkeypatch):
+    # Derived state lives on the plan object; no cache is keyed on the plan.
+    def refuse(self):
+        raise AssertionError("a plan was hashed")
+
+    monkeypatch.setattr(FrequencyPlan, "__hash__", refuse)
+    plan = make_plan([(5, 40), (100, 7)])
+    assert sample_selection_batch(plan, 10, np.random.default_rng(0)).size == 10
+    assert exact_fraction(prob_exact(plan, 3)) == coprime_fraction_brute(plan, 3)
 
 
 class TestProbAsymptotic:
@@ -182,9 +193,12 @@ class TestProbMonteCarlo:
         b = prob_montecarlo(fig1_plan_l1, 4, 10_000, seed=7)
         assert a == b
 
-    def test_worker_count_does_not_change_result(self, fig1_plan_l1):
-        serial = prob_montecarlo(fig1_plan_l1, 4, 200_000, seed=3, workers=1)
-        parallel = prob_montecarlo(fig1_plan_l1, 4, 200_000, seed=3, workers=8)
+    def test_worker_count_does_not_change_result(self):
+        # A fresh plan, drawn from in parallel first: its sampler layout is
+        # first built inside the thread pool, perhaps by two threads at once.
+        plan = fig1.make_plan(1)
+        parallel = prob_montecarlo(plan, 4, 200_000, seed=3, workers=8)
+        serial = prob_montecarlo(plan, 4, 200_000, seed=3, workers=1)
         assert serial == parallel
 
     def test_std_error_formula(self, fig1_plan_l1):

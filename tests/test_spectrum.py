@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from udrange import spectrum
 from udrange.ranging import compute_ud
 from udrange.spectrum import (
     PlanError,
@@ -207,7 +206,7 @@ class StubGenerator:
 
 def edge_positions(plan):
     """Each segment's and each bucket's first and last flat position, and N - 1."""
-    _, _, bits, table, _ = spectrum._position_layout(plan)
+    _, _, bits, table, _ = plan.sampler_layout
     last = plan.n_frequencies - 1
     positions = {last}
     first = 0
@@ -257,7 +256,7 @@ class TestPositionMapping:
         assert rng.calls == [(0, plan.n_frequencies, len(positions))]
         assert out.dtype == expected_dtype(plan)
         assert out.tolist() == sample_selection_ref(plan, positions).tolist()
-        table = spectrum._position_layout(plan)[3]
+        table = plan.sampler_layout[3]
         assert len(table) <= min(2**16, 64 * plan.n_segments)
 
     @given(plan=sampling_plans(), seed=st.integers(0, 2**32))
