@@ -6,16 +6,15 @@ Plan file format (JSON)::
 
 Exit codes: 0 ok, 1 verify failure, 2 bad arguments or plan parse error,
 3 invalid selection, 4 capability exceeded (for the exact method, a largest
-plan index above UD_SIEVE_LIMIT, or M * bit_length(N) above 14,000).
+plan index above 10^7, or M * bit_length(N) above 14,000).
 A plan whose f_min_hz is so small that c / f_min_hz overflows a double
 (below about 1.67e-300) is a plan error and exits 2.
 Argument errors exit 2 with a one-line message: -m, --select, --trials or
 --workers below 1, --select above 1,000,000, a negative --seed, M below 2
 where 1/zeta(M) is asked (asymptotic, sweep), exact or monte_carlo without
---plan, an --out path that cannot be written, or a UD_SIEVE_LIMIT that is
-not an integer >= 1 when an exact probability is computed. ``ud`` takes
-exactly one of --indices and --select; argparse reports a breach with its
-usage line and exit 2.
+--plan, or an --out path that cannot be written. ``ud`` takes exactly one
+of --indices and --select; argparse reports a breach with its usage line
+and exit 2.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from . import _selfcheck
 from .estimator import (
     CapabilityError,
     ProbabilityEstimate,
-    SieveLimitSettingError,
     prob_asymptotic,
     prob_exact,
     prob_montecarlo,
@@ -278,7 +276,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (PlanError, SieveLimitSettingError, OSError) as exc:
+    except (PlanError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PLAN_ERROR
     except SelectionError as exc:

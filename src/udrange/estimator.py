@@ -19,35 +19,15 @@ import numpy as np
 from .numtheory import gcd_all, zeta_int
 from .spectrum import FrequencyPlan, sample_selection_batch
 
-DEFAULT_SIEVE_LIMIT = 10_000_000
-SIEVE_LIMIT_ENV = "UD_SIEVE_LIMIT"
+EXACT_MAX_INDEX = 10_000_000  # bound on the largest plan index K for the exact method
 EXACT_MAX_BITS = 14_000  # bound on M * bit_length(N) for the exact method
 
 MC_BLOCK_SIZE = 65_536  # fixed so results never depend on worker count
 
 
 class CapabilityError(RuntimeError):
-    """The plan's largest index exceeds UD_SIEVE_LIMIT, the exact method's cap
+    """The plan's largest index exceeds EXACT_MAX_INDEX, the exact method's cap
     on K, or N^M is too large for the exact big-integer sum to be printed."""
-
-
-class SieveLimitSettingError(ValueError):
-    """UD_SIEVE_LIMIT is set to something other than an integer >= 1."""
-
-
-def sieve_limit() -> int:
-    raw = os.environ.get(SIEVE_LIMIT_ENV)
-    if not raw:
-        return DEFAULT_SIEVE_LIMIT
-    try:
-        limit = int(raw)
-    except ValueError:
-        limit = 0
-    if limit < 1:
-        raise SieveLimitSettingError(
-            f"{SIEVE_LIMIT_ENV} must be an integer >= 1, got {raw!r}"
-        )
-    return limit
 
 
 @dataclass(frozen=True)
@@ -70,19 +50,16 @@ def prob_exact(plan: FrequencyPlan, m: int) -> ProbabilityEstimate:
     overflows fixed-width types, so everything stays integer until the final
     rounding. The weights, the plan's cached coprimality_weights, come from a
     sieve of mu to about K^(2/3) and the Mertens function. Raises
-    CapabilityError when the plan's largest index K exceeds the cap
-    UD_SIEVE_LIMIT (default 10^7) or when M * bit_length(N) exceeds
-    EXACT_MAX_BITS, which keeps N^M below 10^4215, inside the 4,300 digits
-    Python prints by default, and SieveLimitSettingError when UD_SIEVE_LIMIT
-    is not an integer >= 1.
+    CapabilityError when the plan's largest index K exceeds EXACT_MAX_INDEX
+    or when M * bit_length(N) exceeds EXACT_MAX_BITS, which keeps N^M below
+    10^4215, inside the 4,300 digits Python prints by default.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    limit = sieve_limit()
-    if plan.last_index > limit:
+    if plan.last_index > EXACT_MAX_INDEX:
         raise CapabilityError(
-            f"largest plan index {plan.last_index} exceeds sieve limit "
-            f"{limit} (set {SIEVE_LIMIT_ENV} to raise it)"
+            f"largest plan index {plan.last_index} exceeds the exact method's "
+            f"cap {EXACT_MAX_INDEX}"
         )
     bits = plan.n_frequencies.bit_length()
     if m * bits > EXACT_MAX_BITS:

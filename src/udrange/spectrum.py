@@ -164,6 +164,11 @@ def validate_plan(raw: Mapping[str, Any]) -> FrequencyPlan:
                 raise PlanError(
                     f"segment {i}: {name} must be an integer, got {value!r}"
                 )
+            # Not quoted: str() refuses an int of more than 4,300 digits.
+            if abs(int(value)) >= 2**63:
+                raise PlanError(
+                    f"segment {i}: {name} must be between 1 and 2**63 - 1"
+                )
         start, count = int(start), int(count)
         if start < 1:
             raise PlanError(f"segment {i}: start_index must be >= 1, got {start}")

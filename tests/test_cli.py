@@ -6,6 +6,7 @@ import pytest
 
 from udrange import MobiusTable, _selfcheck, fig1, sieve_mobius
 from udrange.cli import main
+from udrange.estimator import EXACT_MAX_INDEX
 
 from .conftest import PLAN_DIR, REPO_ROOT, make_plan
 from .oracles import coprime_fraction_brute
@@ -43,6 +44,14 @@ def bad_plan_file(tmp_path):
             }
         )
     )
+    return str(path)
+
+
+def plan_ending_at(tmp_path, last_index):
+    """Path of a plan file holding the two indices last_index - 1 and last_index."""
+    path = tmp_path / f"ends_at_{last_index}.json"
+    segment = {"start_index": last_index - 1, "count": 2}
+    path.write_text(json.dumps({"f_min_hz": 1, "segments": [segment]}))
     return str(path)
 
 
@@ -219,22 +228,29 @@ class TestProbCommand:
         assert exact["exact_numerator"] == "11"
         assert exact["exact_denominator"] == "16"
 
-    def test_sieve_limit_exit_code(self, plan_files, monkeypatch):
-        monkeypatch.setenv("UD_SIEVE_LIMIT", "1000")
-        code = main(
-            ["prob", "--plan", plan_files["fig1_L1.json"], "-m", "3", "--methods", "exact"]
-        )
-        assert code == 4
+    def test_sieve_limit_exit_code(self, tmp_path, capsys):
+        argv = ["prob", "-m", "3", "--methods", "exact", "--plan"]
+        assert main([*argv, plan_ending_at(tmp_path, EXACT_MAX_INDEX)]) == 0
+        assert capsys.readouterr() == ("m = 3\nP_exact = 0.7500000000  (6/8)\n", "")
+        over_cap = plan_ending_at(tmp_path, EXACT_MAX_INDEX + 1)
+        for plan, m, line in [
+            (over_cap, "3", f"largest plan index {EXACT_MAX_INDEX + 1} exceeds "
+                            f"the exact method's cap {EXACT_MAX_INDEX}"),
+            (L1_PLAN, "876", "exact method needs M * bit_length(N) <= 14000, "
+                             "got 876 * 16 = 14016"),
+        ]:
+            assert main(["prob", "--plan", plan, "-m", m, "--methods", "exact"]) == 4
+            assert capsys.readouterr() == ("", f"error: {line}\n")
 
-    @pytest.mark.parametrize("value", ["abc", "1e7", "0", "-5"])
-    def test_bad_sieve_limit_setting(self, value, monkeypatch, capsys):
-        monkeypatch.setenv("UD_SIEVE_LIMIT", value)
-        code = main(["prob", "--plan", L1_PLAN, "-m", "3"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: UD_SIEVE_LIMIT") and err.count("\n") == 1
-        # Only the exact method reads the setting.
-        assert main(["prob", "-m", "3", "--methods", "asymptotic"]) == 0
+    @pytest.mark.parametrize("value", ["abc", "1e7", "0", "-5", "100000000"])
+    def test_bad_sieve_limit_setting(self, value, tmp_path, monkeypatch, capsys):
+        # The exact method's cap is a constant: UD_SIEVE_LIMIT changes nothing.
+        for plan in (L1_PLAN, plan_ending_at(tmp_path, EXACT_MAX_INDEX + 1)):
+            argv = ["prob", "--plan", plan, "-m", "3"]
+            monkeypatch.delenv("UD_SIEVE_LIMIT", raising=False)
+            unset = main(argv), capsys.readouterr()
+            monkeypatch.setenv("UD_SIEVE_LIMIT", value)
+            assert (main(argv), capsys.readouterr()) == unset
 
     @pytest.mark.parametrize(
         "argv, expected, line",

@@ -162,9 +162,7 @@ def run_main(argv):
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(data=st.data())
-def test_cli_exits_with_a_documented_code(data, tmp_path, monkeypatch):
-    # Small sieve limit so a drawn plan with a large index exits 4 quickly.
-    monkeypatch.setenv("UD_SIEVE_LIMIT", str(10**5))
+def test_cli_exits_with_a_documented_code(data, tmp_path):
     plan_path = tmp_path / "plan.json"
     plan_path.write_text(data.draw(plan_texts, label="plan"))
     # --out: stdout, a writable file, a file in a missing directory, a directory.

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from udrange import estimator, fig1
 from udrange.estimator import (
     EXACT_MAX_BITS,
+    EXACT_MAX_INDEX,
     MC_BLOCK_SIZE,
     CapabilityError,
     prob_asymptotic,
@@ -56,10 +57,12 @@ class TestProbExact:
         with pytest.raises(ValueError):
             prob_exact(make_plan([(1, 4)]), 0)
 
-    def test_sieve_limit_enforced(self, monkeypatch):
-        monkeypatch.setenv("UD_SIEVE_LIMIT", "100")
-        with pytest.raises(CapabilityError):
-            prob_exact(make_plan([(1000, 10)]), 2)
+    def test_sieve_limit_enforced(self):
+        # Of the 4 pairs from two consecutive indices, the 2 unequal ones are coprime.
+        at_cap = make_plan([(EXACT_MAX_INDEX - 1, 2)])
+        assert exact_fraction(prob_exact(at_cap, 2)) == Fraction(1, 2)
+        with pytest.raises(CapabilityError, match="exact method's cap"):
+            prob_exact(make_plan([(EXACT_MAX_INDEX, 2)]), 2)
 
     def test_size_limit_enforced(self, fig1_plan_l1):
         # N = 2**15 has 16 bits: M = 875 is the largest M inside the limit.

@@ -85,6 +85,26 @@ class TestValidatePlan:
         selection = sample_selection(plan, 5, np.random.default_rng(0))
         assert selection_from_indices(plan, selection) == selection
 
+    @pytest.mark.parametrize(
+        "start, count, message",
+        [
+            # Ints too long for str(): the message names the field, not its digits.
+            (10**5000, 1, "start_index must be between 1 and 2**63 - 1"),
+            (-(10**5000), 1, "start_index must be between 1 and 2**63 - 1"),
+            (5, -(10**5000), "count must be between 1 and 2**63 - 1"),
+            # Values below 2**63 in magnitude are quoted.
+            (0, 3, "start_index must be >= 1, got 0"),
+            (5, 1 - 2**63, "count must be >= 1, got -9223372036854775807"),
+            (2**63 - 1, 2, "last index 9223372036854775808 exceeds 2**63 - 1"),
+        ],
+        ids=["huge_start", "huge_negative_start", "huge_negative_count",
+             "start_zero", "count_negative", "last_past_int64"],
+    )
+    def test_error_names_segment_and_field(self, start, count, message):
+        with pytest.raises(PlanError) as info:
+            make_plan([(1, 2), (start, count)])
+        assert str(info.value) == f"segment 1: {message}"
+
     def test_f_min_keeps_maximal_ud_finite(self):
         # c / f_min overflows a double for f_min below about 1.67e-300.
         smallest = make_plan([(5, 2)], f_min_hz=1.67e-300)
