@@ -2,8 +2,8 @@
 
 Library layout:
 
-- ``numtheory`` — Mobius sieve, Mertens function, integer-argument zeta,
-  multi-way GCD
+- ``numtheory`` — Mobius sieve, the exact method's block ends with the
+  Mertens function at each, integer-argument zeta, multi-way GCD
 - ``spectrum`` — segmented frequency plans and the induced index set
 - ``ranging`` — phase-shift model and UD = c / (gcd * f_min)
 - ``estimator`` — exact / asymptotic / Monte Carlo probability of maximal UD

@@ -11,10 +11,10 @@ A plan whose f_min_hz is so small that c / f_min_hz overflows a double
 (below about 1.67e-300) is a plan error and exits 2.
 Argument errors exit 2 with a one-line message: -m, --select, --trials or
 --workers below 1, --select above 1,000,000, a negative --seed, M below 2
-where 1/zeta(M) is asked (asymptotic, sweep), exact or monte_carlo without
---plan, or an --out path that cannot be written. ``ud`` takes exactly one
-of --indices and --select; argparse reports a breach with its usage line
-and exit 2.
+where 1/zeta(M) is asked (asymptotic, sweep), an empty --m-range, exact or
+monte_carlo without --plan, or an --out path that cannot be written. ``ud``
+takes exactly one of --indices and --select; argparse reports a breach with
+its usage line and exit 2.
 """
 
 from __future__ import annotations
@@ -77,6 +77,8 @@ def _parse_m_range(text: str) -> range:
         ) from exc
     if m_range.start < 2:
         raise argparse.ArgumentTypeError(f"m-range must start at 2 or more: {text!r}")
+    if not m_range:
+        raise argparse.ArgumentTypeError(f"m-range must not be empty: {text!r}")
     return m_range
 
 

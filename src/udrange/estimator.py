@@ -101,9 +101,10 @@ def prob_montecarlo(
     entropy. Trials are split into fixed-size blocks, each driven by a
     substream derived from (seed..., block index), so the result is
     bit-identical for any worker count. A block folds one drawn column at a
-    time into a running gcd and drops the rows that reach G, the gcd of the
-    whole index set, so its memory does not grow with M. Up to
-    min(workers, blocks, CPU count) threads each sum a stride of blocks.
+    time into a running gcd and drops the rows that reach 1, so its memory
+    does not grow with M; if the whole index set has a gcd above 1, P = 0
+    is returned without a draw. Up to min(workers, blocks, CPU count)
+    threads each sum a stride of blocks.
     Columns come from sample_selection_batch, which maps draws through the
     plan's cached bucket table and returns int32 when the plan's last index
     is below 2**31 (int64 otherwise), so the gcd runs in int32 there; the
@@ -114,20 +115,21 @@ def prob_montecarlo(
     entropy = seed if isinstance(seed, tuple) else (seed,)
     if any(s < 0 for s in entropy):
         raise ValueError(f"seed must be non-negative, got {seed}")
-    n_blocks = (trials + MC_BLOCK_SIZE - 1) // MC_BLOCK_SIZE
     # G > 1 only when every segment is a single index; then no row is coprime.
-    plan_gcd = gcd_all(s.start if s.count == 1 else 1 for s in plan.segments)
+    if gcd_all(s.start if s.count == 1 else 1 for s in plan.segments) > 1:
+        return ProbabilityEstimate(value=0.0, method="monte_carlo", m=m, trials=trials)
+    n_blocks = (trials + MC_BLOCK_SIZE - 1) // MC_BLOCK_SIZE
 
     def block_hits(b: int) -> int:
         n = min(MC_BLOCK_SIZE, trials - b * MC_BLOCK_SIZE)
         rng = np.random.default_rng(np.random.SeedSequence(list(entropy + (b,))))
         g = sample_selection_batch(plan, n, rng)
         for _ in range(m - 1):
-            g = g[g != plan_gcd]
+            g = g[g > 1]
             if not g.size:
                 break
             g = np.gcd(g, sample_selection_batch(plan, g.size, rng))
-        return 0 if plan_gcd > 1 else n - int(np.count_nonzero(g > 1))
+        return n - int(np.count_nonzero(g > 1))
 
     threads = min(workers, n_blocks, os.cpu_count() or 1)
     strides = [range(first, n_blocks, threads) for first in range(threads)]

@@ -12,7 +12,7 @@ from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .numtheory import mertens
+from .numtheory import mertens_at_quotients
 
 SPEED_OF_LIGHT_M_S = 299_792_458
 
@@ -63,14 +63,15 @@ class FrequencyPlan:
         return self.segments[-1].end
 
     @cached_property
-    def sampler_layout(self) -> tuple[np.ndarray, np.ndarray, int, np.ndarray, np.ndarray]:
-        """Flat positions 0..N-1 to grid indices: cum, shift, bits, table, straddle.
+    def sampler_layout(self) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
+        """Flat positions 0..N-1 to grid indices: cum, shift, bits, table.
 
         Position p lies in segment searchsorted(cum, p, side="right") and maps
         to p + shift[segment]. Buckets of 2**bits positions, at most
-        min(2**16, 64 L) of them, hold table[b], the shift at bucket b's first
-        position, and straddle[b], whether a segment boundary falls inside
-        bucket b. Arrays are int32 when the last index is below 2**31, else int64.
+        min(2**16, 64 L) of them, hold table[b], the shift of all bucket b's
+        positions, or 0 if a segment boundary splits it: no shift is 0, as
+        segment l's earlier positions map into 1..start_l - 1. Arrays are
+        int32 when the last index is below 2**31, else int64.
         """
         dtype = np.int32 if self.last_index < 2**31 else np.int64
         counts = np.array([s.count for s in self.segments], dtype=dtype)
@@ -79,12 +80,12 @@ class FrequencyPlan:
         last = self.n_frequencies - 1
         bits = (last // min(2**16, 64 * self.n_segments)).bit_length()
         first = np.arange((last >> bits) + 1, dtype=dtype) << bits
-        # A bucket's last position, first | (2**bits - 1), is below 2**63: no overflow.
-        segment = np.searchsorted(cum, first, side="right")
-        straddle = segment != np.searchsorted(
-            cum, np.minimum(first | ((1 << bits) - 1), last), side="right"
-        )
-        return cum, shift, bits, shift[segment], straddle
+        table = shift[np.searchsorted(cum, first, side="right")]
+        # Segment l + 1 starts at position cum[l]: it splits that bucket unless
+        # it is the bucket's first position.
+        starts = cum[:-1]
+        table[starts[starts & ((1 << bits) - 1) != 0] >> bits] = 0
+        return cum, shift, bits, table
 
     @cached_property
     def coprimality_weights(self) -> tuple[tuple[int, int], ...]:
@@ -99,17 +100,13 @@ class FrequencyPlan:
         x_j sums +/-(n // j) over the segment endpoints n (each end, and each
         start - 1 > 0), so it is constant on blocks of j whose right ends b are
         1..isqrt(K) and every n // q with q <= isqrt(n): O(L sqrt K) blocks for
-        L segments. A block (a, b] adds M(b) - M(a), its sum of mu by the
-        Mertens function, to the bin of x_b; mu is never tabulated up to K.
+        L segments. numtheory.mertens_at_quotients lists them with the Mertens
+        function M(b), and a block (a, b] adds M(b) - M(a), its sum of mu, to
+        the bin of x_b; mu is never tabulated up to K.
         """
-        ends = [n for s in self.segments for n in (s.end, s.start - 1) if n > 0]
-        b = np.arange(1, math.isqrt(self.last_index) + 1)
-        for n in ends:
-            # A stable sort merges the two ascending runs in linear time.
-            b = np.concatenate((b, n // np.arange(math.isqrt(n), 0, -1)))
-            b.sort(kind="stable")
-            b = b[np.diff(b, prepend=0) > 0]
-        mu_sums = np.diff(mertens(b), prepend=0)
+        ends = [n for s in self.segments for n in (s.end, s.start - 1)]
+        b, m = mertens_at_quotients(ends)
+        mu_sums = np.diff(m, prepend=0)
         x = count_multiples_upto(self, b)
         hit = x > 0
         # Bin over the distinct counts, not 0..max(x): about N + 1 slots otherwise.
@@ -234,13 +231,12 @@ def sample_selection_batch(
     """
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
-    cum, shift, bits, table, straddle = plan.sampler_layout
+    cum, shift, bits, table = plan.sampler_layout
     positions = rng.integers(0, plan.n_frequencies, size=size, dtype=cum.dtype)
-    bucket = positions >> bits
-    out = positions + table[bucket]
-    amb = np.flatnonzero(straddle[bucket])
-    split = positions[amb]
-    out[amb] = split + shift[np.searchsorted(cum, split, side="right")]
+    out = table[positions >> bits]
+    split = np.flatnonzero(out == 0)
+    out[split] = shift[np.searchsorted(cum, positions[split], side="right")]
+    out += positions
     return out
 
 

@@ -290,9 +290,14 @@ class TestSweepCommand:
             assert abs(r["P_mc"] - r["P_asymptotic"]) < max(0.02, 6 * r["stderr"])
 
     def test_empty_m_range(self, tiny_plan_file, capsys):
-        assert main(["sweep", "--plan", tiny_plan_file, "--m-range", "3..2"]) == 0
-        header = "L,N,M,P_exact,P_asymptotic,P_mc,stderr,trials,seed\n"
-        assert capsys.readouterr().out == header
+        for m_range in ("3..2", "5..3"):
+            for fmt in ("csv", "json"):
+                argv = ["sweep", "--plan", tiny_plan_file, "--m-range", m_range]
+                assert exit_code(argv + ["--format", fmt]) == 2
+                out, err = capsys.readouterr()
+                assert out == "" and err.count("error") == 1
+                message = f"m-range must not be empty: '{m_range}'"
+                assert err.endswith(f"error: argument --m-range: {message}\n")
 
     def test_exact_column_matches_enumeration(self, tmp_path, capsys):
         path = tmp_path / "plan.json"

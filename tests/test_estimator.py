@@ -268,8 +268,17 @@ class TestProbMonteCarlo:
     def test_seeded_stream_is_pinned(self, plan, m, trials, seed, hits):
         assert prob_montecarlo(plan, m, trials, seed=seed).value == hits / trials
 
-    def test_all_singleton_plan_stops_at_its_gcd(self):
+    def test_all_singleton_plan_stops_at_its_gcd(self, monkeypatch):
         plan = make_plan([(2, 1), (4, 1)])
         start = time.perf_counter()
         assert prob_montecarlo(plan, 10**9, 1_000, seed=0).value == 0.0
         assert time.perf_counter() - start < 1.0
+
+        # With G = 2 no row can be coprime, so nothing is drawn.
+        def refuse(*args):
+            raise AssertionError("drew from a plan whose gcd is above 1")
+
+        monkeypatch.setattr(estimator, "sample_selection_batch", refuse)
+        estimate = prob_montecarlo(plan, 3, 200_000, seed=0, workers=2)
+        assert estimate.value == estimate.std_error == 0.0
+        assert estimate.trials == 200_000

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from udrange.numtheory import ZETA_TOL, gcd_all, mertens, sieve_mobius, zeta_int
+from udrange.numtheory import (
+    ZETA_TOL,
+    gcd_all,
+    mertens_at_quotients,
+    sieve_mobius,
+    zeta_int,
+)
 
 from .oracles import is_prime_trial_division, mobius_ref, zeta_ref
 
@@ -79,7 +85,10 @@ class TestSieveMobius:
 class TestMertens:
     def test_matches_sieve_cumsum_to_one_hundred_thousand(self):
         ref = np.cumsum(sieve_mobius(10**5).values)
-        np.testing.assert_array_equal(mertens(np.arange(10**5 + 1)), ref)
+        # Each end is its own quotient n // 1, and most lie above T.
+        b, m = mertens_at_quotients(range(0, 10**5 + 1, 37))
+        np.testing.assert_array_equal(m, ref[b])
+        assert np.count_nonzero(b > round(10**5 ** (2 / 3))) >= 1_000
 
     @pytest.mark.parametrize(
         "n,expected",
@@ -87,13 +96,18 @@ class TestMertens:
         enumerate([1, -1, 1, 2, -23, -48, 212, 1037, 1928, -222, -33722]),
     )
     def test_powers_of_ten(self, n, expected):
-        assert mertens(np.array([10**n])).tolist() == [expected]
+        b, m = mertens_at_quotients([10**n])
+        assert (b[-1], m[-1]) == (10**n, expected)
 
     @given(st.lists(st.integers(0, 10**5), min_size=1, max_size=20))
     @settings(max_examples=50, deadline=None)
-    def test_any_order_and_repeats(self, values):
+    def test_any_order_and_repeats(self, ends):
         ref = np.cumsum(sieve_mobius(10**5).values)
-        assert mertens(np.array(values)).tolist() == ref[values].tolist()
+        quotients = {n // q for n in ends for q in range(1, math.isqrt(n) + 1)}
+        expected = sorted(quotients | set(range(1, math.isqrt(max(ends)) + 1)))
+        b, m = mertens_at_quotients(ends)
+        assert b.tolist() == expected
+        assert m.tolist() == ref[expected].tolist()
 
 
 class TestZetaInt:

@@ -226,7 +226,7 @@ class StubGenerator:
 
 def edge_positions(plan):
     """Each segment's and each bucket's first and last flat position, and N - 1."""
-    _, _, bits, table, _ = plan.sampler_layout
+    _, _, bits, table = plan.sampler_layout
     last = plan.n_frequencies - 1
     positions = {last}
     first = 0
