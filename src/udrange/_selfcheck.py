@@ -21,8 +21,6 @@ from fractions import Fraction
 from functools import reduce
 from typing import Callable
 
-import numpy as np
-
 from . import fig1
 from .numtheory import gcd_all, sieve_mobius, zeta_int
 from .estimator import prob_asymptotic, prob_exact
@@ -32,6 +30,8 @@ from .spectrum import FrequencyPlan, Segment, enumerate_indices, sample_selectio
 
 def coprime_fraction_by_enumeration(plan: FrequencyPlan, m: int) -> Fraction:
     """Exhaustive count of setwise-coprime ordered m-tuples over the index set."""
+    import numpy as np
+
     arr = np.fromiter(enumerate_indices(plan), dtype=np.int64)
     grids = np.meshgrid(*([arr] * m), indexing="ij")
     g = reduce(np.gcd, grids)
@@ -48,6 +48,8 @@ class CheckResult:
 def _check_mobius(limit: int) -> CheckResult:
     # Mobius inversion: the sum of mu(d) over the divisors d of n is [n = 1].
     # It fixes mu(n) = -(sum over proper divisors), so only the true mu passes.
+    import numpy as np
+
     mu = sieve_mobius(limit).values
     total = np.zeros(limit + 1, dtype=np.int64)
     for d in np.flatnonzero(mu):
@@ -92,6 +94,8 @@ def _check_exact_enumeration() -> CheckResult:
 
 
 def _check_periodicity() -> CheckResult:
+    import numpy as np
+
     plan = FrequencyPlan(1000.0, (Segment(54000, 200), Segment(60000, 100)))
     rng = np.random.default_rng(12345)
     for _ in range(25):

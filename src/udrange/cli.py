@@ -23,8 +23,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import _selfcheck
 from .estimator import (
     CapabilityError,
@@ -117,6 +115,8 @@ def cmd_ud(args: argparse.Namespace) -> int:
     if args.indices is not None:
         selection = selection_from_indices(plan, args.indices.split(","))
     else:
+        import numpy as np
+
         rng = np.random.default_rng(np.random.SeedSequence([args.seed]))
         selection = sample_selection(plan, args.select, rng)
     result = compute_ud(plan, selection)

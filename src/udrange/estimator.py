@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import sqrt
 
-import numpy as np
-
 from .numtheory import gcd_all, zeta_int
 from .spectrum import FrequencyPlan, sample_selection_batch
 
@@ -118,6 +116,8 @@ def prob_montecarlo(
     # G > 1 only when every segment is a single index; then no row is coprime.
     if gcd_all(s.start if s.count == 1 else 1 for s in plan.segments) > 1:
         return ProbabilityEstimate(value=0.0, method="monte_carlo", m=m, trials=trials)
+    import numpy as np
+
     n_blocks = (trials + MC_BLOCK_SIZE - 1) // MC_BLOCK_SIZE
 
     def block_hits(b: int) -> int:

@@ -5,9 +5,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -36,6 +37,8 @@ def sieve_mobius(limit: int) -> MobiusTable:
     """
     if limit < 1:
         raise ValueError(f"sieve limit must be >= 1, got {limit}")
+    import numpy as np
+
     mu = np.ones(limit + 1, dtype=np.int8)
     mu[0] = 0
     root = math.isqrt(limit)
@@ -68,6 +71,8 @@ def mertens_at_quotients(ends: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     below T. Each v costs O(sqrt(v)) vectorised steps, and there are at most
     K^(1/3) of them per n above T.
     """
+    import numpy as np
+
     top = max(ends)
     runs = [n // np.arange(math.isqrt(n), 0, -1) for n in ends]
     b = np.concatenate([np.arange(1, math.isqrt(top) + 1), *runs])

@@ -8,11 +8,12 @@ import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Iterator, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Iterator, Mapping, Sequence
 
 from .numtheory import mertens_at_quotients
+
+if TYPE_CHECKING:
+    import numpy as np
 
 SPEED_OF_LIGHT_M_S = 299_792_458
 
@@ -73,6 +74,8 @@ class FrequencyPlan:
         segment l's earlier positions map into 1..start_l - 1. Arrays are
         int32 when the last index is below 2**31, else int64.
         """
+        import numpy as np
+
         dtype = np.int32 if self.last_index < 2**31 else np.int64
         counts = np.array([s.count for s in self.segments], dtype=dtype)
         cum = np.cumsum(counts, dtype=dtype)
@@ -104,6 +107,8 @@ class FrequencyPlan:
         function M(b), and a block (a, b] adds M(b) - M(a), its sum of mu, to
         the bin of x_b; mu is never tabulated up to K.
         """
+        import numpy as np
+
         ends = [n for s in self.segments for n in (s.end, s.start - 1)]
         b, m = mertens_at_quotients(ends)
         mu_sums = np.diff(m, prepend=0)
@@ -203,6 +208,8 @@ def count_multiples_upto(plan: FrequencyPlan, j: np.ndarray) -> np.ndarray:
     Entry [i] is x_{j[i]}, the number of plan indices divisible by j[i]. The
     plan's coprimality_weights pass the right ends of its blocks of constant x_j.
     """
+    import numpy as np
+
     x = np.zeros(len(j), dtype=np.int64)
     for s in plan.segments:
         x += s.end // j
@@ -231,6 +238,8 @@ def sample_selection_batch(
     """
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
+    import numpy as np
+
     cum, shift, bits, table = plan.sampler_layout
     positions = rng.integers(0, plan.n_frequencies, size=size, dtype=cum.dtype)
     out = table[positions >> bits]

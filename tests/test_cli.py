@@ -475,3 +475,55 @@ def test_bad_arguments_exit_without_traceback(argv, expected, capsys):
     assert exit_code(argv) == expected
     err = capsys.readouterr().err
     assert "error" in err and "Traceback" not in err
+
+
+# Run with numpy blocked: any numpy import raises ImportError. Each argv's
+# (exit code, stdout, stderr) is printed as JSON, with "ImportError" as the
+# code of a call that needed numpy.
+NO_NUMPY_SCRIPT = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None
+import udrange
+from udrange.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except ImportError:
+            code = "ImportError"
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_array_free_commands_run_without_numpy(tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    free = [
+        ["ud", "--plan", L1_PLAN, "--indices", "54000,54001"],
+        ["prob", "-m", "10", "--methods", "asymptotic"],
+        ["prob", "-m", "10", "--methods", "asymptotic", "--format", "json"],
+        ["prob", "--plan", missing, "-m", "3"],
+        ["ud", "--plan", L1_PLAN, "--indices", "54000,1"],
+        ["ud", "--plan", L1_PLAN, "--indices", "54000,x"],
+        ["prob", "-m", "0"],
+        ["prob", "--methods", "exact", "-m", "3"],
+    ]
+    # Control: the exact method needs arrays, so the block must stop it.
+    control = ["prob", "--plan", L1_PLAN, "-m", "3", "--methods", "exact"]
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY_SCRIPT, json.dumps(free + [control])],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    *blocked, control_result = json.loads(proc.stdout)
+    assert control_result[0] == "ImportError"
+    for argv, result in zip(free, blocked):
+        code = exit_code(argv)
+        out, err = capsys.readouterr()
+        assert result == [code, out, err], argv
+    assert [r[0] for r in blocked] == [0, 0, 0, 2, 3, 3, 2, 2]

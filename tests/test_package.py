@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import udrange
 from udrange import ranging, spectrum
 
@@ -20,3 +23,12 @@ def test_removed_names_are_not_exported():
 def test_one_speed_of_light():
     assert udrange.SPEED_OF_LIGHT_M_S is ranging.SPEED_OF_LIGHT_M_S
     assert ranging.SPEED_OF_LIGHT_M_S is spectrum.SPEED_OF_LIGHT_M_S
+
+
+def test_import_leaves_numpy_unloaded():
+    # ud --indices, asymptotic prob and every argument or plan error use no
+    # arrays, so a fresh `udrange` process must not pay for importing numpy.
+    code = 'import sys, udrange.cli; print("numpy" in sys.modules)'
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
