@@ -32,7 +32,6 @@ from .spectrum import (
     SelectionError,
     enumerate_indices,
     load_plan,
-    sample_selection,
     selection_from_indices,
     validate_plan,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "prob_asymptotic",
     "prob_exact",
     "prob_montecarlo",
-    "sample_selection",
     "selection_from_indices",
     "sieve_mobius",
     "validate_plan",

@@ -25,7 +25,7 @@ from . import fig1
 from .numtheory import gcd_all, sieve_mobius, zeta_int
 from .estimator import prob_asymptotic, prob_exact
 from .ranging import verify_ambiguity
-from .spectrum import FrequencyPlan, Segment, enumerate_indices, sample_selection
+from .spectrum import FrequencyPlan, Segment, enumerate_indices, sample_selection_batch
 
 
 def coprime_fraction_by_enumeration(plan: FrequencyPlan, m: int) -> Fraction:
@@ -99,7 +99,7 @@ def _check_periodicity() -> CheckResult:
     plan = FrequencyPlan(1000.0, (Segment(54000, 200), Segment(60000, 100)))
     rng = np.random.default_rng(12345)
     for _ in range(25):
-        sel = sample_selection(plan, 4, rng)
+        sel = tuple(sample_selection_batch(plan, 4, rng).tolist())
         r = float(rng.uniform(0.0, 299792.458))
         if not verify_ambiguity(plan, sel, r):
             return CheckResult("phase_periodicity", False, f"selection {sel}")

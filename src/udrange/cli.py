@@ -36,7 +36,7 @@ from .spectrum import (
     PlanError,
     SelectionError,
     load_plan,
-    sample_selection,
+    sample_selection_batch,
     selection_from_indices,
 )
 
@@ -118,7 +118,7 @@ def cmd_ud(args: argparse.Namespace) -> int:
         import numpy as np
 
         rng = np.random.default_rng(np.random.SeedSequence([args.seed]))
-        selection = sample_selection(plan, args.select, rng)
+        selection = tuple(sample_selection_batch(plan, args.select, rng).tolist())
     result = compute_ud(plan, selection)
     lines = [
         f"indices = {','.join(str(k) for k in selection)}",

@@ -9,9 +9,7 @@ seeded Monte Carlo.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import sqrt
 
 from .numtheory import gcd_all, zeta_int
@@ -68,7 +66,7 @@ def prob_exact(plan: FrequencyPlan, m: int) -> ProbabilityEstimate:
     z = sum(w * v**m for v, w in plan.coprimality_weights)
     denom = plan.n_frequencies**m
     return ProbabilityEstimate(
-        value=float(Fraction(z, denom)),
+        value=z / denom,
         method="exact",
         m=m,
         exact_numerator=z,
@@ -116,6 +114,8 @@ def prob_montecarlo(
     # G > 1 only when every segment is a single index; then no row is coprime.
     if gcd_all(s.start if s.count == 1 else 1 for s in plan.segments) > 1:
         return ProbabilityEstimate(value=0.0, method="monte_carlo", m=m, trials=trials)
+    from concurrent.futures import ThreadPoolExecutor
+
     import numpy as np
 
     n_blocks = (trials + MC_BLOCK_SIZE - 1) // MC_BLOCK_SIZE

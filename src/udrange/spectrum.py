@@ -249,13 +249,6 @@ def sample_selection_batch(
     return out
 
 
-def sample_selection(
-    plan: FrequencyPlan, m: int, rng: np.random.Generator
-) -> tuple[int, ...]:
-    """Draw one selection of m indices, uniform with replacement."""
-    return tuple(sample_selection_batch(plan, m, rng).tolist())
-
-
 def selection_from_indices(
     plan: FrequencyPlan, indices: Sequence[int | str]
 ) -> tuple[int, ...]:

@@ -15,7 +15,7 @@ from udrange import fig1
 from udrange.estimator import prob_asymptotic, prob_exact, prob_montecarlo
 from udrange.numtheory import sieve_mobius, zeta_int
 from udrange.ranging import exact_ud_m, phase_shifts
-from udrange.spectrum import sample_selection, validate_plan
+from udrange.spectrum import sample_selection_batch, validate_plan
 
 from .conftest import PLAN_DIR, random_tiny_plan
 from .oracles import circular_delta, coprime_fraction_brute, mobius_ref, zeta_ref
@@ -126,7 +126,7 @@ def test_criterion_6_ud_periodicity(fig1_plans):
     for plan in fig1_plans:
         for _ in range(100):
             total += 1
-            sel = sample_selection(plan, 7, rng)
+            sel = tuple(sample_selection_batch(plan, 7, rng).tolist())
             r = Fraction(float(rng.uniform(0.0, 299_792.458)))
             ud = exact_ud_m(plan, sel)
             base = phase_shifts(plan, sel, r)

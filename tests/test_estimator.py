@@ -1,7 +1,7 @@
+import concurrent.futures
 import math
 import time
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -75,9 +75,9 @@ class TestProbExact:
     @settings(max_examples=20, deadline=None)
     def test_matches_enumeration(self, plan):
         for m in (2, 3):
-            assert exact_fraction(prob_exact(plan, m)) == coprime_fraction_brute(
-                plan, m
-            )
+            e = prob_exact(plan, m)
+            assert exact_fraction(e) == coprime_fraction_brute(plan, m)
+            assert e.value == float(exact_fraction(e))
 
 
 @st.composite
@@ -235,7 +235,7 @@ class TestProbMonteCarlo:
     def test_threads_capped_by_cpu_count(self, fig1_plan_l1, monkeypatch):
         seen = {"max_workers": [], "tasks": 0}
 
-        class RecordingPool(ThreadPoolExecutor):
+        class RecordingPool(concurrent.futures.ThreadPoolExecutor):
             def __init__(self, max_workers=None, **kwargs):
                 seen["max_workers"].append(max_workers)
                 super().__init__(max_workers=max_workers, **kwargs)
@@ -247,7 +247,7 @@ class TestProbMonteCarlo:
         trials = 5 * MC_BLOCK_SIZE
         serial = prob_montecarlo(fig1_plan_l1, 3, trials, seed=5, workers=1)
         monkeypatch.setattr(estimator.os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(estimator, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
         wide = prob_montecarlo(fig1_plan_l1, 3, trials, seed=5, workers=64)
         assert seen["max_workers"] and max(seen["max_workers"]) <= 2
         assert seen["tasks"] <= 2

@@ -5,8 +5,9 @@ import udrange
 from udrange import ranging, spectrum
 
 # A selection is a plain tuple[int, ...] and phase_shifts returns a
-# tuple[float, ...]; no wrapper type for either is exported.
-REMOVED = ("Selection", "PhaseVector")
+# tuple[float, ...]; no wrapper type for either is exported, and selections
+# are drawn with sample_selection_batch alone.
+REMOVED = ("Selection", "PhaseVector", "sample_selection")
 
 
 def test_all_names_resolve():
@@ -27,8 +28,12 @@ def test_one_speed_of_light():
 
 def test_import_leaves_numpy_unloaded():
     # ud --indices, asymptotic prob and every argument or plan error use no
-    # arrays, so a fresh `udrange` process must not pay for importing numpy.
-    code = 'import sys, udrange.cli; print("numpy" in sys.modules)'
+    # arrays and no thread pool, so a fresh `udrange` process must not pay
+    # for importing numpy or concurrent.futures.
+    code = (
+        "import sys, udrange.cli; "
+        'print("numpy" in sys.modules, "concurrent.futures" in sys.modules)'
+    )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "False False\n"

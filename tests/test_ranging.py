@@ -12,7 +12,7 @@ from udrange.ranging import (
     phase_shifts,
     verify_ambiguity,
 )
-from udrange.spectrum import sample_selection
+from udrange.spectrum import sample_selection_batch
 
 from .conftest import make_plan
 from .oracles import circular_delta, setwise_coprime_scan
@@ -53,7 +53,7 @@ class TestComputeUd:
         rng = np.random.default_rng(17)
         small = make_plan([(2, 400)])
         for _ in range(50):
-            sel = sample_selection(small, 3, rng)
+            sel = tuple(sample_selection_batch(small, 3, rng).tolist())
             r = compute_ud(small, sel)
             assert r.is_max == setwise_coprime_scan(sel)
 
@@ -76,14 +76,14 @@ class TestPhaseShifts:
     def test_phases_in_range(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
-            sel = sample_selection(PLAN, 4, rng)
+            sel = tuple(sample_selection_batch(PLAN, 4, rng).tolist())
             pv = phase_shifts(PLAN, sel, float(rng.uniform(0, 3e5)))
             assert all(0.0 <= p < 2 * math.pi for p in pv)
 
     def test_periodic_at_multiples_of_ud(self):
         rng = np.random.default_rng(31)
         for _ in range(30):
-            sel = sample_selection(PLAN, 5, rng)
+            sel = tuple(sample_selection_batch(PLAN, 5, rng).tolist())
             ud = exact_ud_m(PLAN, sel)
             r = Fraction(float(rng.uniform(0.0, 299_792.458)))
             base = phase_shifts(PLAN, sel, r)
@@ -104,7 +104,7 @@ class TestVerifyAmbiguity:
     def test_random_selections(self):
         rng = np.random.default_rng(77)
         for _ in range(20):
-            sel = sample_selection(PLAN, 4, rng)
+            sel = tuple(sample_selection_batch(PLAN, 4, rng).tolist())
             r = float(rng.uniform(0.0, 299_792.458))
             assert verify_ambiguity(PLAN, sel, r)
 

@@ -11,7 +11,6 @@ from udrange.spectrum import (
     SelectionError,
     count_multiples_upto,
     enumerate_indices,
-    sample_selection,
     sample_selection_batch,
     selection_from_indices,
     validate_plan,
@@ -82,7 +81,8 @@ class TestValidatePlan:
     def test_accepts_last_index_at_int64_max(self):
         plan = make_plan([(2**63 - 1000, 1000)])
         assert plan.last_index == 2**63 - 1
-        selection = sample_selection(plan, 5, np.random.default_rng(0))
+        rng = np.random.default_rng(0)
+        selection = tuple(sample_selection_batch(plan, 5, rng).tolist())
         assert selection_from_indices(plan, selection) == selection
 
     @pytest.mark.parametrize(
@@ -185,14 +185,14 @@ class TestSampling:
     def test_members_of_plan(self):
         plan = make_plan([(10, 5), (100, 5)])
         rng = np.random.default_rng(3)
-        sel = sample_selection(plan, 3, rng)
+        sel = tuple(sample_selection_batch(plan, 3, rng).tolist())
         assert len(sel) == 3
         assert selection_from_indices(plan, sel) == sel
 
     def test_deterministic_given_seed(self):
         plan = make_plan([(10, 50), (100, 50)])
-        a = sample_selection(plan, 8, np.random.default_rng(99))
-        b = sample_selection(plan, 8, np.random.default_rng(99))
+        a = sample_selection_batch(plan, 8, np.random.default_rng(99)).tolist()
+        b = sample_selection_batch(plan, 8, np.random.default_rng(99)).tolist()
         assert a == b
 
     def test_uniform_marginals(self):
@@ -206,8 +206,6 @@ class TestSampling:
     def test_rejects_bad_sizes(self):
         plan = make_plan([(1, 4)])
         rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            sample_selection(plan, 0, rng)
         with pytest.raises(ValueError):
             sample_selection_batch(plan, 0, rng)
 
