@@ -1,6 +1,6 @@
 """Desk-scale built-in checks behind the `verify` CLI command.
 
-What each check compares against, in run order (the last two are full only):
+What each check compares against, in run order (the last three are full only):
 
 - ``mobius_sieve``: the sieved mu against Mobius inversion, sum of mu(d) over
   the divisors d of n = [n = 1], up to 2,000 (quick) or 10,000.
@@ -9,6 +9,9 @@ What each check compares against, in run order (the last two are full only):
 - ``exact_vs_enumeration``: exact P against counting every m-tuple of small plans.
 - ``phase_periodicity``: exact cycle counts at R against R + UD (equal) and
   R + UD / 2, 3, 5, 7 (not all equal), on random selections.
+- ``mertens_known_values``: ``mertens_at_quotients([10**n])`` against the
+  published M(10^n) (OEIS A084237) for n = 1..8, which the Mertens loop
+  above the sieve fills.
 - ``l_independence``: exact P across the L = 1, 7, 12 plans; spread < 0.01.
 - ``asymptotic_gap``: exact P against 1/zeta(M) on the L = 1 plan; gap <= 0.01.
 """
@@ -22,7 +25,7 @@ from functools import reduce
 from typing import Callable
 
 from . import fig1
-from .numtheory import gcd_all, sieve_mobius, zeta_int
+from .numtheory import gcd_all, mertens_at_quotients, sieve_mobius, zeta_int
 from .estimator import prob_asymptotic, prob_exact
 from .ranging import verify_ambiguity
 from .spectrum import FrequencyPlan, Segment, enumerate_indices, sample_selection_batch
@@ -74,6 +77,19 @@ def _check_gcd() -> CheckResult:
         if gcd_all(values) != want:
             return CheckResult("gcd_known_values", False, f"gcd{values} != {want}")
     return CheckResult("gcd_known_values", True)
+
+
+def _check_mertens() -> CheckResult:
+    known = [-1, 1, 2, -23, -48, 212, 1037, 1928]  # OEIS A084237, n = 1..8
+    for n, want in enumerate(known, 1):
+        got = int(mertens_at_quotients([10**n])[1][-1])
+        if got != want:
+            return CheckResult(
+                "mertens_known_values", False, f"M(10^{n}) = {got}, expected {want}"
+            )
+    return CheckResult(
+        "mertens_known_values", True, "M(10^n) matches OEIS A084237 for n = 1..8"
+    )
 
 
 def _check_exact_enumeration() -> CheckResult:
@@ -136,5 +152,5 @@ def run_checks(quick: bool = False) -> list[CheckResult]:
         _check_periodicity,
     ]
     if not quick:
-        checks += [_check_l_independence, _check_asymptotic_gap]
+        checks += [_check_mertens, _check_l_independence, _check_asymptotic_gap]
     return [check() for check in checks]

@@ -45,10 +45,10 @@ def prob_exact(plan: FrequencyPlan, m: int) -> ProbabilityEstimate:
     The alternating sum cancels catastrophically in floating point and N^M
     overflows fixed-width types, so everything stays integer until the final
     rounding. The weights, the plan's cached coprimality_weights, come from a
-    sieve of mu to about K^(2/3) and the Mertens function. Raises
-    CapabilityError when the plan's largest index K exceeds EXACT_MAX_INDEX
-    or when M * bit_length(N) exceeds EXACT_MAX_BITS, which keeps N^M below
-    10^4215, inside the 4,300 digits Python prints by default.
+    sieve of mu to T = min(K, (2 L K)^(2/3)) for L segments and the Mertens
+    function. Raises CapabilityError when the plan's largest index K exceeds
+    EXACT_MAX_INDEX or when M * bit_length(N) exceeds EXACT_MAX_BITS, which
+    keeps N^M below 10^4215, inside the 4,300 digits Python prints by default.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")

@@ -33,7 +33,8 @@ def sieve_mobius(limit: int) -> MobiusTable:
     vectorised step supplies that factor's sign (mu is already 0 at every
     other j with ``prod[j] < j``). That is O(sqrt(limit) / log limit)
     Python-level steps and O(limit log log limit) array work, with flat int8
-    storage.
+    storage. ``prod[j]`` is a product of distinct primes dividing j, so at
+    most j: ``prod`` and its index range are int32 below 2**31.
     """
     if limit < 1:
         raise ValueError(f"sieve limit must be >= 1, got {limit}")
@@ -47,29 +48,32 @@ def sieve_mobius(limit: int) -> MobiusTable:
     for p in range(2, math.isqrt(root) + 1):
         if is_prime[p]:
             is_prime[p * p :: p] = False
-    prod = np.ones(limit + 1, dtype=np.int64)
+    dtype = np.int32 if limit < 2**31 else np.int64
+    prod = np.ones(limit + 1, dtype=dtype)
     for p in np.flatnonzero(is_prime):
         p = int(p)
         mu[p::p] *= -1
         mu[p * p :: p * p] = 0
         prod[p::p] *= p
-    mu[prod < np.arange(limit + 1)] *= -1
+    mu[prod < np.arange(limit + 1, dtype=dtype)] *= -1
     return MobiusTable(limit=limit, values=mu)
 
 
 def mertens_at_quotients(ends: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """Block ends b of the ints n >= 0 in ``ends`` and the Mertens function there.
 
-    With K >= 1 the largest n, b lists 1..isqrt(K) and every n // q with
+    With K the largest n, b lists 1..isqrt(K) and every n // q with
     q <= isqrt(n), ascending and once each, as int64; m[i] is
-    M(b[i]) = mu(1) + ... + mu(b[i]). Below T = K^(2/3), M is the cumulative
-    sum of a sieve to T. Above T, one ascending loop fills M(v) = 1 - sum over
-    d >= 2 of M(v // d) (Deleglise and Rivat, "Computing the summation of the
-    Mobius function", Exp. Math. 5, 1996): the d <= isqrt(v) are summed one by
-    one, reading M(v // d) from the sieve or from the values filled before,
-    and the larger d are grouped by their quotient q <= isqrt(v), which is
-    below T. Each v costs O(sqrt(v)) vectorised steps, and there are at most
-    K^(1/3) of them per n above T.
+    M(b[i]) = mu(1) + ... + mu(b[i]). Up to T, M is the cumulative sum of a
+    sieve to T. Above T, one ascending loop fills M(v) = 1 - sum over d >= 2
+    of M(v // d) (Deleglise and Rivat, "Computing the summation of the Mobius
+    function", Exp. Math. 5, 1996): the d <= isqrt(v) are summed one by one,
+    reading M(v // d) from the sieve or from the values filled before, and
+    the larger d are grouped by their quotient q <= isqrt(v), which is at
+    most T. Each v costs O(sqrt(v)) vectorised steps, and there are at most
+    K / T of them per n, so E = len(ends) values cost about E K / sqrt(T)
+    steps against the sieve's O(T). T = (E K)^(2/3), capped at K, balances
+    the two; at T = K the loop does not run.
     """
     import numpy as np
 
@@ -80,8 +84,9 @@ def mertens_at_quotients(ends: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     b.sort(kind="stable")
     b = b[np.diff(b, prepend=0) > 0]
     # T >= isqrt(K), so every quotient in a group lies inside the sieve.
-    t = max(1, round(top ** (2 / 3)))
-    small = np.cumsum(sieve_mobius(t).values)
+    t = max(1, min(top, round((len(ends) * top) ** (2 / 3))))
+    # |M(x)| <= x, so the cumulative sum fits the sieve's own int32 range.
+    small = np.cumsum(sieve_mobius(t).values, dtype=np.int32 if t < 2**31 else np.int64)
     low = int(np.searchsorted(b, t, side="right"))
     m = np.empty(len(b), dtype=np.int64)
     m[:low] = small[b[:low]]

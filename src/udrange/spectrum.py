@@ -105,7 +105,8 @@ class FrequencyPlan:
         1..isqrt(K) and every n // q with q <= isqrt(n): O(L sqrt K) blocks for
         L segments. numtheory.mertens_at_quotients lists them with the Mertens
         function M(b), and a block (a, b] adds M(b) - M(a), its sum of mu, to
-        the bin of x_b; mu is never tabulated up to K.
+        the bin of x_b. mu is tabulated only up to T = min(K, (2 L K)^(2/3)),
+        which reaches K once L^2 >= K / 4.
         """
         import numpy as np
 
@@ -118,7 +119,10 @@ class FrequencyPlan:
         values, bins = np.unique(x[hit], return_inverse=True)
         weights = np.bincount(bins, weights=mu_sums[hit])
         # A bin's partial sums stay within +/-K, far below 2**53: float sums are exact.
-        return tuple((int(values[i]), int(weights[i])) for i in np.flatnonzero(weights))
+        nonzero = weights != 0
+        return tuple(
+            zip(values[nonzero].tolist(), weights[nonzero].astype(np.int64).tolist())
+        )
 
 
 def validate_plan(raw: Mapping[str, Any]) -> FrequencyPlan:

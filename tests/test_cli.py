@@ -7,6 +7,7 @@ import pytest
 from udrange import MobiusTable, _selfcheck, fig1, sieve_mobius
 from udrange.cli import main
 from udrange.estimator import EXACT_MAX_INDEX
+from udrange.numtheory import mertens_at_quotients
 
 from .conftest import PLAN_DIR, REPO_ROOT, make_plan
 from .oracles import coprime_fraction_brute
@@ -385,7 +386,11 @@ class TestVerifyCommand:
         code = main(["verify"])
         out = capsys.readouterr().out
         assert code == 0
-        full = QUICK_CHECKS + ["l_independence", "asymptotic_gap"]
+        full = QUICK_CHECKS + [
+            "mertens_known_values",
+            "l_independence",
+            "asymptotic_gap",
+        ]
         assert verify_lines(out) == [f"PASS {name}" for name in full]
 
     def test_injected_fault_fails(self, capsys, monkeypatch):
@@ -395,6 +400,17 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert code == 1
         assert "FAIL gcd_known_values: forced" in out
+
+    def test_wrong_mertens_value_fails(self, capsys, monkeypatch):
+        def off_by_one(ends):
+            b, m = mertens_at_quotients(ends)
+            return b, m + (b == 10**4)
+
+        monkeypatch.setattr(_selfcheck, "mertens_at_quotients", off_by_one)
+        code = main(["verify"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "FAIL mertens_known_values: M(10^4) = -22, expected -23" in out
 
     @pytest.mark.parametrize("j", [1, 30, 1999])
     def test_flipped_sieve_sign_fails(self, capsys, monkeypatch, j):

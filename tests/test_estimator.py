@@ -107,6 +107,17 @@ class TestCoprimalityWeights:
     def test_wide_plans_match_reference(self, plan):
         assert plan.coprimality_weights == coprimality_weights_ref(plan)
 
+    @given(
+        starts=st.lists(
+            st.integers(1, 20_000), min_size=100, max_size=400, unique=True
+        )
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_many_single_index_segments_match_reference(self, starts):
+        # 2L >= 200 segment endpoints and K <= 20,000: the sieve reaches K.
+        plan = make_plan([(a, 1) for a in starts])
+        assert plan.coprimality_weights == coprimality_weights_ref(plan)
+
     def test_every_single_segment_plan_to_two_hundred(self):
         # start 1 has no lower endpoint; (1, 1) is the plan with K = 1.
         for last in range(1, 201):

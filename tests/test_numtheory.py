@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from udrange import numtheory
 from udrange.numtheory import (
     ZETA_TOL,
     gcd_all,
@@ -82,13 +83,43 @@ class TestSieveMobius:
         assert table.values[a * b] == table.values[a] * table.values[b]
 
 
+@pytest.fixture
+def sieve_limits(monkeypatch):
+    """The limits T that mertens_at_quotients passes to sieve_mobius."""
+    limits = []
+
+    def recording(limit):
+        limits.append(limit)
+        return sieve_mobius(limit)
+
+    monkeypatch.setattr(numtheory, "sieve_mobius", recording)
+    return limits
+
+
 class TestMertens:
-    def test_matches_sieve_cumsum_to_one_hundred_thousand(self):
-        ref = np.cumsum(sieve_mobius(10**5).values)
-        # Each end is its own quotient n // 1, and most lie above T.
-        b, m = mertens_at_quotients(range(0, 10**5 + 1, 37))
+    def test_loop_matches_sieve_cumsum_to_four_million(self, sieve_limits):
+        # 343 ends in the top 6%: T = (E K)^(2/3) is about K / 3.24, so the
+        # loop fills n // 1, n // 2 and n // 3 of each n, and n // 1 > 2 T
+        # reads back M(n // 2), a value the loop filled.
+        b, m = mertens_at_quotients(range(4 * 10**6, 376 * 10**4, -700))
+        (t,) = sieve_limits
+        assert np.count_nonzero(b > t) >= 1_000
+        assert np.count_nonzero(b > 2 * t) >= 300
+        ref = np.cumsum(sieve_mobius(4 * 10**6).values)
         np.testing.assert_array_equal(m, ref[b])
-        assert np.count_nonzero(b > round(10**5 ** (2 / 3))) >= 1_000
+
+    def test_sieve_reaches_k_without_a_loop(self, sieve_limits):
+        # 200 ends up to K = 10^4: (E K)^(2/3) > K, so T = K and no b is above T.
+        b, m = mertens_at_quotients(range(10**4, 0, -37)[:200])
+        assert sieve_limits == [10**4] == [b[-1]]
+        np.testing.assert_array_equal(m, np.cumsum(sieve_mobius(10**4).values)[b])
+
+    @pytest.mark.parametrize("ends", [[0], [0, 0], [0, 1]])
+    def test_zero_ends(self, ends):
+        # K = 0 asks for no block end; the sieve still needs a limit of 1.
+        b, m = mertens_at_quotients(ends)
+        assert b.tolist() == list(range(1, max(ends) + 1))
+        assert m.tolist() == [1] * max(ends)
 
     @pytest.mark.parametrize(
         "n,expected",
