@@ -85,7 +85,7 @@ def mertens_at_quotients(ends: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     b = b[np.diff(b, prepend=0) > 0]
     # T >= isqrt(K), so every quotient in a group lies inside the sieve.
     t = max(1, min(top, round((len(ends) * top) ** (2 / 3))))
-    # |M(x)| <= x, so the cumulative sum fits the sieve's own int32 range.
+    # |M(x)| <= x <= t, so below 2**31 the cumulative sum fits in int32.
     small = np.cumsum(sieve_mobius(t).values, dtype=np.int32 if t < 2**31 else np.int64)
     low = int(np.searchsorted(b, t, side="right"))
     m = np.empty(len(b), dtype=np.int64)

@@ -116,7 +116,7 @@ class TestMertens:
 
     @pytest.mark.parametrize("ends", [[0], [0, 0], [0, 1]])
     def test_zero_ends(self, ends):
-        # K = 0 asks for no block end; the sieve still needs a limit of 1.
+        # An end of 0 adds no block end; at K = 0 the sieve still needs a limit of 1.
         b, m = mertens_at_quotients(ends)
         assert b.tolist() == list(range(1, max(ends) + 1))
         assert m.tolist() == [1] * max(ends)
