@@ -126,7 +126,7 @@ def cmd_ud(args: argparse.Namespace) -> int:
         f"ud_m = {result.ud_m!r}",
     ]
     if result.ud_m >= 1e4:
-        lines.append(f"ud_km = {result.ud_m / 1000.0!r}")
+        lines.append(f"ud_km = {result.ud_km!r}")
     lines.append(f"is_max = {'true' if result.is_max else 'false'}")
     _write_out("\n".join(lines) + "\n", args.out)
     return EXIT_OK

@@ -19,23 +19,27 @@ class UdResult:
     gcd_k: int
     ud_m: float
     is_max: bool
+    ud_km: float
 
 
 def compute_ud(plan: FrequencyPlan, selection: tuple[int, ...]) -> UdResult:
     """Unambiguous distance c / (k * f_min), k = gcd of the selected indices.
 
     The distance is the LCM of the selected wavelengths; a single-frequency
-    selection degenerates to its own wavelength. It is rounded once from the
-    exact rational, since k * f_min can overflow a double.
+    selection degenerates to its own wavelength. ud_m and ud_km are each
+    rounded once from the exact rational, since k * f_min can overflow a double.
     """
     k = gcd_all(selection)
-    ud = float(exact_ud_m(plan, (k,)))  # (k,) has the selection's UD
-    return UdResult(gcd_k=k, ud_m=ud, is_max=(k == 1))
+    ud = _ud_of_gcd(plan, k)
+    return UdResult(gcd_k=k, ud_m=float(ud), is_max=(k == 1), ud_km=float(ud / 1000))
 
 
 def exact_ud_m(plan: FrequencyPlan, selection: tuple[int, ...]) -> Fraction:
     """The unambiguous distance as an exact rational, for tight phase checks."""
-    k = gcd_all(selection)
+    return _ud_of_gcd(plan, gcd_all(selection))
+
+
+def _ud_of_gcd(plan: FrequencyPlan, k: int) -> Fraction:
     return Fraction(SPEED_OF_LIGHT_M_S) / (k * Fraction(plan.f_min_hz))
 
 
@@ -66,12 +70,7 @@ def phase_shifts(
     return tuple(TWO_PI * float(c) for c in _cycles(plan, selection, distance_m))
 
 
-_PROBE_FRACTIONS = (
-    Fraction(1, 2),
-    Fraction(1, 3),
-    Fraction(1, 5),
-    Fraction(1, 7),
-)
+_PROBE_FRACTIONS = tuple(Fraction(1, p) for p in (2, 3, 5, 7))
 
 
 def verify_ambiguity(

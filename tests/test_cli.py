@@ -1,4 +1,6 @@
 import json
+import os
+import resource
 import subprocess
 import sys
 
@@ -56,9 +58,9 @@ def plan_ending_at(tmp_path, last_index):
     return str(path)
 
 
-def run_cli(args):
+def run_cli(args, **kwargs):
     cmd = [sys.executable, "-m", "udrange", *args]
-    return subprocess.run(cmd, capture_output=True, text=True)
+    return subprocess.run(cmd, capture_output=True, text=True, **kwargs)
 
 
 class TestUdCommand:
@@ -66,11 +68,14 @@ class TestUdCommand:
         code = main(
             ["ud", "--plan", plan_files["fig1_L1.json"], "--indices", "54000,54001"]
         )
-        out = capsys.readouterr().out
         assert code == 0
-        assert "gcd = 1" in out
-        assert "is_max = true" in out
-        assert "ud_km" in out
+        assert capsys.readouterr().out == (
+            "indices = 54000,54001\n"
+            "gcd = 1\n"
+            "ud_m = 299792.458\n"
+            "ud_km = 299.792458\n"
+            "is_max = true\n"
+        )
 
     def test_random_selection_deterministic(self, plan_files):
         args = ["ud", "--plan", plan_files["fig1_L1.json"], "--select", "5", "--seed", "7"]
@@ -543,3 +548,187 @@ def test_array_free_commands_run_without_numpy(tmp_path, capsys):
         out, err = capsys.readouterr()
         assert result == [code, out, err], argv
     assert [r[0] for r in blocked] == [0, 0, 0, 2, 3, 3, 2, 2]
+
+
+def comb_plan(n_segments):
+    """n_segments segments of 50 indices, one every 100 grid steps from 10."""
+    segments = [{"start_index": 10 + 100 * i, "count": 50} for i in range(n_segments)]
+    return {"f_min_hz": 1000, "segments": segments}
+
+
+# Plans the pinned runs below name in braces, beside the bundled L1 and L12.
+GENERATED_PLANS = {
+    # N = 2^20 indices that end one below the exact method's cap of 10^7.
+    "k1e7": {"f_min_hz": 1, "segments": [{"start_index": 8951424, "count": 1048576}]},
+    # N = 2^20 below the cap in 200 segments, where the sieve stops short of K.
+    "l200": {
+        "f_min_hz": 1,
+        "segments": [
+            {"start_index": 64658 + 49900 * i, "count": 5243 if i < 176 else 5242}
+            for i in range(200)
+        ],
+    },
+    # Enough segments that the exact method's sieve reaches K.
+    "l2000": comb_plan(2000),
+    # Monte Carlo across many segments.
+    "l20000": comb_plan(20000),
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("pinned_plans")
+    paths = {f"L{L}": str(PLAN_DIR / f"fig1_L{L}.json") for L in (1, 12)}
+    for name, plan in GENERATED_PLANS.items():
+        path = root / f"{name}.json"
+        path.write_text(json.dumps(plan))
+        paths[name] = str(path)
+    return paths
+
+
+EXACT_AND_ASYMPTOTIC_JSON = """\
+{
+  "estimates": [
+    {
+      "exact_denominator": "50216813883093446110686315385661331328818843555712276103168",
+      "exact_numerator": "50210652353334486238729142782947257030387323322660624343570",
+      "method": "exact",
+      "std_error": 0.0,
+      "trials": 0,
+      "value": 0.99987730145976
+    },
+    {
+      "exact_denominator": null,
+      "exact_numerator": null,
+      "method": "asymptotic",
+      "std_error": 0.0,
+      "trials": 0,
+      "value": 0.9998773017090384
+    }
+  ],
+  "m": 13
+}
+"""
+
+SWEEP_CSV = """\
+L,N,M,P_exact,P_asymptotic,P_mc,stderr,trials,seed
+1,32768,3,0.8319052426,0.8319073726,0.8454589844,0.0056479153,4096,2014
+1,32768,4,0.9239370262,0.9239384029,0.9169921875,0.0043108442,4096,2014
+12,32768,3,0.8319062429,0.8319073726,0.8286132812,0.0058882271,4096,2014
+12,32768,4,0.9239373453,0.9239384029,0.9287109375,0.0040204231,4096,2014
+"""
+
+
+# The CLI's output contract: argv, exit code and stdout, byte for byte.
+@pytest.mark.parametrize(
+    "command, expected, stdout",
+    [
+        pytest.param(
+            "prob --plan {L12} -m 3 --methods monte_carlo --trials 200000 --seed 7",
+            0,
+            "m = 3\nP_monte_carlo = 0.8313900000  (trials=200000, stderr=8.37e-04)\n",
+            id="monte_carlo_stream",
+        ),
+        *[
+            pytest.param(
+                "prob --plan {l20000} -m 13 --methods monte_carlo --trials 262144 "
+                f"--seed 11 --workers {workers}",
+                0,
+                "m = 13\nP_monte_carlo = 0.9998779297  (trials=262144, stderr=2.16e-05)\n",
+                id=f"monte_carlo_20000_segments_workers_{workers}",
+            )
+            for workers in (1, 2)
+        ],
+        pytest.param(
+            "prob --plan {l200} -m 5 --methods exact",
+            0,
+            "m = 5\nP_exact = 0.9643607697  "
+            "(1222472508593232857725348689570/1267650600228229401496703205376)\n",
+            id="exact_200_segments",
+        ),
+        pytest.param(
+            "prob --plan {l2000} -m 5 --methods exact",
+            0,
+            "m = 5\nP_exact = 0.9643875157  "
+            "(9643875157220153295339840/10000000000000000000000000)\n",
+            id="exact_2000_segments",
+        ),
+        pytest.param(
+            "prob --plan {L12} -m 13 --format json --methods exact,asymptotic",
+            0,
+            EXACT_AND_ASYMPTOTIC_JSON,
+            id="exact_and_asymptotic_json",
+        ),
+        pytest.param(
+            "prob -m 10 --methods asymptotic",
+            0,
+            "m = 10\nP_asymptotic = 0.9990064131\n",
+            id="asymptotic_m10",
+        ),
+        pytest.param(
+            "ud --plan {L1} --indices 54000,54009",
+            0,
+            "indices = 54000,54009\n"
+            "gcd = 9\n"
+            "ud_m = 33310.27311111111\n"
+            "ud_km = 33.31027311111111\n"
+            "is_max = false\n",
+            id="ud_gcd_9",
+        ),
+        pytest.param(
+            "sweep --plan {L1} --plan {L12} --m-range 3..4 --trials 4096 --seed 2014",
+            0,
+            SWEEP_CSV,
+            id="sweep_csv",
+        ),
+    ],
+)
+def test_pinned_output(command, expected, stdout, pinned_paths, capsys):
+    assert main(command.format(**pinned_paths).split()) == expected
+    assert capsys.readouterr() == (stdout, "")
+
+
+# The same contract in a fresh process whose address space is capped at kib
+# KiB, as ``ulimit -v`` would cap it. stdout None leaves stdout unchecked: at
+# M = 4096 every draw is coprime, and the Wald stderr of 0 it prints there is
+# not pinned as correct.
+@pytest.mark.parametrize(
+    "command, kib, expected, stdout",
+    [
+        pytest.param(
+            "prob --plan {k1e7} -m 5 --methods exact",
+            200_000,
+            0,
+            "m = 5\nP_exact = 0.9643873029  "
+            "(1222506143389881884612049583800/1267650600228229401496703205376)\n",
+            id="exact_at_index_cap",
+        ),
+        pytest.param(
+            "prob --plan {L12} -m 4096 --methods monte_carlo --trials 131072 "
+            "--workers 2",
+            1_500_000,
+            0,
+            None,
+            id="monte_carlo_large_m",
+        ),
+        pytest.param(
+            "ud --plan {L1} --select 400000000",
+            1_500_000,
+            2,
+            "",
+            id="select_above_cap",
+        ),
+    ],
+)
+def test_memory_limited_run(command, kib, expected, stdout, pinned_paths):
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (kib * 1024, kib * 1024))
+
+    proc = run_cli(
+        command.format(**pinned_paths).split(),
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+        preexec_fn=cap_address_space,
+    )
+    assert proc.returncode == expected, proc.stderr
+    if stdout is not None:
+        assert proc.stdout == stdout
