@@ -6,7 +6,7 @@ Plan file format (JSON)::
 
 Exit codes: 0 ok, 1 verify failure, 2 bad arguments or plan parse error,
 3 invalid selection, 4 capability exceeded (for the exact method, a largest
-plan index above 10^7, or M * bit_length(N) above 14,000).
+plan index above 10^7, or M * bit_length(N) above 14,000) or out of memory.
 A plan whose f_min_hz is so small that c / f_min_hz overflows a double
 (below about 1.67e-300) is a plan error and exits 2.
 Argument errors exit 2 with a one-line message: -m, --select, --trials or
@@ -286,6 +286,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_SELECTION_ERROR
     except CapabilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CAPABILITY
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_CAPABILITY
     except argparse.ArgumentTypeError as exc:
         parser.error(str(exc))

@@ -1,16 +1,44 @@
 from __future__ import annotations
 
+import contextlib
+import io
+import os
 from pathlib import Path
+from typing import TYPE_CHECKING
+from unittest import mock
 
-import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from udrange import fig1
+from udrange.cli import main
 from udrange.spectrum import FrequencyPlan, validate_plan
+
+if TYPE_CHECKING:  # numpy stays unloaded, so a child that blocks it can import this
+    import numpy as np
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 PLAN_DIR = REPO_ROOT / "plans"
+
+
+def run_main(argv: list[str]) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of one in-process ``udrange`` run.
+
+    An argparse ``SystemExit`` counts as the exit code; any other exception
+    escapes. COLUMNS is fixed at 80, since argparse wraps its usage lines to
+    the terminal width.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with (
+        mock.patch.dict(os.environ, COLUMNS="80"),
+        contextlib.redirect_stdout(out),
+        contextlib.redirect_stderr(err),
+    ):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
 
 @pytest.fixture(scope="session")

@@ -1,13 +1,13 @@
 """Fuzz cli.main with drawn argv and plan JSON: only documented exits, no traceback."""
 
-import contextlib
-import io
 import json
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from udrange.cli import MAX_SELECT, main
+from udrange.cli import MAX_SELECT
+
+from .conftest import run_main
 
 INT64_MAX = 2**63 - 1
 EXIT_CODES = {0, 1, 2, 3, 4}
@@ -143,17 +143,6 @@ def argvs(draw, plan_path, out_choices):
     return argv
 
 
-def run_main(argv):
-    """Exit status and stderr of cli.main; any exception but SystemExit escapes."""
-    stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    return code, stderr.getvalue()
-
-
 # A fixed example stream keeps the suite deterministic; about 3 s on 2 cores.
 @settings(
     max_examples=300,
@@ -173,6 +162,6 @@ def test_cli_exits_with_a_documented_code(data, tmp_path):
         str(tmp_path),
     ]
     argv = data.draw(argvs(str(plan_path), out_choices), label="argv")
-    code, err = run_main(argv)
+    code, _, err = run_main(argv)
     assert code in EXIT_CODES, (code, err)
     assert "Traceback" not in err
