@@ -21,16 +21,16 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 PLAN_DIR = REPO_ROOT / "plans"
 
 
-def run_main(argv: list[str]) -> tuple[int, str, str]:
+def run_main(argv: list[str], columns: int = 80) -> tuple[int, str, str]:
     """(exit code, stdout, stderr) of one in-process ``udrange`` run.
 
     An argparse ``SystemExit`` counts as the exit code; any other exception
-    escapes. COLUMNS is fixed at 80, since argparse wraps its usage lines to
-    the terminal width.
+    escapes. COLUMNS is fixed, at 80 unless ``columns`` says otherwise, since
+    argparse wraps its usage lines to the terminal width.
     """
     out, err = io.StringIO(), io.StringIO()
     with (
-        mock.patch.dict(os.environ, COLUMNS="80"),
+        mock.patch.dict(os.environ, COLUMNS=str(columns)),
         contextlib.redirect_stdout(out),
         contextlib.redirect_stderr(err),
     ):

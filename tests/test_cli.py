@@ -455,6 +455,27 @@ def test_pinned_output(row, pinned_paths):
     assert run_main(argv) == expected
 
 
+# Rows refused for bad user input, in the order of their argv<i>-<code> ids.
+BAD_ARGUMENT_ROWS = """
+    prob_m0 asymptotic_m1 exact_without_plan monte_carlo_without_plan prob_seed_negative
+    ud_index_not_int ud_select_negative ud_seed_negative sweep_trials_0
+    sweep_seed_negative sweep_m_range_from_0 sweep_m_range_from_1 prob_out_unwritable
+    ud_indices_and_select ud_neither_indices_nor_select prob_workers_0
+    prob_workers_negative sweep_workers_0 sweep_workers_negative ud_select_above_cap
+""".split()
+BAD_ARGUMENT_IDS = [f"argv{i}-{PINNED[r][1]}" for i, r in enumerate(BAD_ARGUMENT_ROWS)]
+
+
+@pytest.mark.parametrize("row", BAD_ARGUMENT_ROWS, ids=BAD_ARGUMENT_IDS)
+def test_bad_arguments_exit_without_traceback(row, pinned_paths):
+    # A wide terminal rewraps argparse's usage block, but not the exit code,
+    # the empty stdout or the closing error line pinned at 80 columns.
+    argv, (code, out, err) = pinned_run(row, pinned_paths)
+    wide_code, wide_out, wide_err = run_main(argv, columns=200)
+    assert (wide_code, wide_out) == (code, out) and "Traceback" not in wide_err
+    assert wide_err.splitlines()[-1] == err.splitlines()[-1]
+
+
 # The same contract in a fresh process whose address space is capped at kib
 # KiB, as ``ulimit -v`` would cap it: id -> (argv, kib, exit code, stdout,
 # stderr). stdout None leaves stdout unchecked: at M = 4096 every draw is
