@@ -9,17 +9,20 @@ Exit codes: 0 ok, 1 verify failure, 2 bad arguments or plan parse error,
 plan index above 10^7, or M * bit_length(N) above 14,000) or out of memory.
 A plan whose f_min_hz is so small that c / f_min_hz overflows a double
 (below about 1.67e-300) is a plan error and exits 2.
-Argument errors exit 2 with a one-line message: -m, --select, --trials or
---workers below 1, --select above 1,000,000, a negative --seed, M below 2
-where 1/zeta(M) is asked (asymptotic, sweep), an empty --m-range, exact or
-monte_carlo without --plan, or an --out path that cannot be written. ``ud``
-takes exactly one of --indices and --select; argparse reports a breach with
-its usage line and exit 2.
+Argument errors exit 2 with the subcommand's usage and a one-line error:
+-m, --select, --trials or --workers below 1, --select above 1,000,000, a
+negative --seed, M below 2 where 1/zeta(M) is asked (asymptotic, sweep), an
+empty --m-range, an unknown method, monte_carlo without --trials, exact or
+monte_carlo without --plan, or both or neither of ud's --indices and --select.
+Every refusal comes before any work: --out is opened once all checks pass, so
+a refused run leaves no file (an unwritable --out exits 2); only a run that
+runs out of memory midway leaves an empty one.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -27,6 +30,7 @@ from . import _selfcheck
 from .estimator import (
     CapabilityError,
     ProbabilityEstimate,
+    check_exact_limits,
     prob_asymptotic,
     prob_exact,
     prob_montecarlo,
@@ -80,12 +84,11 @@ def _parse_m_range(text: str) -> range:
     return m_range
 
 
-def _write_out(text: str, out_path: str | None) -> None:
+def _open_out(out_path: str | None):
+    """--out opened for writing, or stdout when it is not given."""
     if out_path:
-        with open(out_path, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        return open(out_path, "w", newline="")
+    return contextlib.nullcontext(sys.stdout)
 
 
 def _render_prob_json(m: int, estimates: list[ProbabilityEstimate]) -> str:
@@ -114,21 +117,22 @@ def cmd_ud(args: argparse.Namespace) -> int:
     plan = load_plan(args.plan)
     if args.indices is not None:
         selection = selection_from_indices(plan, args.indices.split(","))
-    else:
-        import numpy as np
+    with _open_out(args.out) as out:
+        if args.indices is None:
+            import numpy as np
 
-        rng = np.random.default_rng(np.random.SeedSequence([args.seed]))
-        selection = tuple(sample_selection_batch(plan, args.select, rng).tolist())
-    result = compute_ud(plan, selection)
-    lines = [
-        f"indices = {','.join(str(k) for k in selection)}",
-        f"gcd = {result.gcd_k}",
-        f"ud_m = {result.ud_m!r}",
-    ]
-    if result.ud_m >= 1e4:
-        lines.append(f"ud_km = {result.ud_km!r}")
-    lines.append(f"is_max = {'true' if result.is_max else 'false'}")
-    _write_out("\n".join(lines) + "\n", args.out)
+            rng = np.random.default_rng(np.random.SeedSequence([args.seed]))
+            selection = tuple(sample_selection_batch(plan, args.select, rng).tolist())
+        result = compute_ud(plan, selection)
+        lines = [
+            f"indices = {','.join(str(k) for k in selection)}",
+            f"gcd = {result.gcd_k}",
+            f"ud_m = {result.ud_m!r}",
+        ]
+        if result.ud_m >= 1e4:
+            lines.append(f"ud_km = {result.ud_km!r}")
+        lines.append(f"is_max = {'true' if result.is_max else 'false'}")
+        out.write("\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -136,47 +140,43 @@ def cmd_prob(args: argparse.Namespace) -> int:
     methods = [m.strip() for m in args.methods.split(",")]
     for method in methods:
         if method not in METHODS:
-            raise argparse.ArgumentTypeError(f"unknown method {method!r}")
-    plan = load_plan(args.plan) if args.plan else None
-    if plan is None and ("exact" in methods or "monte_carlo" in methods):
-        raise PlanError("--plan is required for the exact and monte_carlo methods")
+            args.error(f"unknown method {method!r}")
+    if not args.plan and ("exact" in methods or "monte_carlo" in methods):
+        args.error("--plan is required for the exact and monte_carlo methods")
     if "monte_carlo" in methods and not args.trials:
-        raise argparse.ArgumentTypeError("--trials is required for monte_carlo")
+        args.error("--trials is required for monte_carlo")
     if "asymptotic" in methods and args.m < 2:
-        raise argparse.ArgumentTypeError(f"asymptotic needs -m >= 2, got {args.m}")
-    if "asymptotic" in methods and args.m == 2:
-        print(
-            "warning: m = 2 is outside the asymptotic error analysis regime "
-            "(it assumes more than 2 frequencies); 1/zeta(2) is still exact "
-            "as a limit value",
-            file=sys.stderr,
-        )
+        args.error(f"asymptotic needs -m >= 2, got {args.m}")
+    plan = load_plan(args.plan) if args.plan else None
+    if "exact" in methods:
+        check_exact_limits(plan, args.m)
 
-    estimates = []
-    for method in methods:
-        if method == "exact":
-            estimates.append(prob_exact(plan, args.m))
-        elif method == "asymptotic":
-            estimates.append(prob_asymptotic(args.m))
-        else:
-            estimates.append(
-                prob_montecarlo(
-                    plan, args.m, args.trials, args.seed, workers=args.workers
-                )
+    with _open_out(args.out) as out:
+        if "asymptotic" in methods and args.m == 2:
+            print(
+                "warning: m = 2 is outside the asymptotic error analysis regime "
+                "(it assumes more than 2 frequencies); 1/zeta(2) is still exact "
+                "as a limit value",
+                file=sys.stderr,
             )
-
-    if args.format == "json":
-        _write_out(_render_prob_json(args.m, estimates), args.out)
-    else:
-        lines = [f"m = {args.m}"]
-        for e in estimates:
-            line = f"P_{e.method} = {e.value:.10f}"
-            if e.method == "monte_carlo":
-                line += f"  (trials={e.trials}, stderr={e.std_error:.2e})"
-            if e.method == "exact":
-                line += f"  ({e.exact_numerator}/{e.exact_denominator})"
-            lines.append(line)
-        _write_out("\n".join(lines) + "\n", args.out)
+        estimates = [
+            prob_exact(plan, args.m) if method == "exact"
+            else prob_asymptotic(args.m) if method == "asymptotic"
+            else prob_montecarlo(plan, args.m, args.trials, args.seed, args.workers)
+            for method in methods
+        ]
+        if args.format == "json":
+            out.write(_render_prob_json(args.m, estimates))
+        else:
+            lines = [f"m = {args.m}"]
+            for e in estimates:
+                line = f"P_{e.method} = {e.value:.10f}"
+                if e.method == "monte_carlo":
+                    line += f"  (trials={e.trials}, stderr={e.std_error:.2e})"
+                if e.method == "exact":
+                    line += f"  ({e.exact_numerator}/{e.exact_denominator})"
+                lines.append(line)
+            out.write("\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -187,29 +187,32 @@ SWEEP_COLUMNS = (
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     plans = [load_plan(p) for p in args.plan]
+    for plan in plans:  # the K cap does not depend on M; the digit cap grows with it
+        check_exact_limits(plan, args.m_range[-1])
     rows = []
-    for plan_idx, plan in enumerate(plans):
-        for m in args.m_range:
-            exact = prob_exact(plan, m)
-            asym = prob_asymptotic(m)
-            # Per-row entropy keeps rows reproducible under any execution order.
-            mc = prob_montecarlo(
-                plan, m, args.trials, (args.seed, plan_idx, m), args.workers
-            )
-            rows.append(
-                (plan.n_segments, plan.n_frequencies, m, exact.value, asym.value,
-                 mc.value, mc.std_error, args.trials, args.seed)
-            )
-    if args.format == "json":
-        payload = [dict(zip(SWEEP_COLUMNS, row)) for row in rows]
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    else:
-        lines = [",".join(SWEEP_COLUMNS)] + [
-            ",".join(f"{v:.10f}" if isinstance(v, float) else str(v) for v in row)
-            for row in rows
-        ]
-        text = "\n".join(lines) + "\n"
-    _write_out(text, args.out)
+    with _open_out(args.out) as out:
+        for plan_idx, plan in enumerate(plans):
+            for m in args.m_range:
+                exact = prob_exact(plan, m)
+                asym = prob_asymptotic(m)
+                # Per-row entropy keeps rows reproducible under any execution order.
+                mc = prob_montecarlo(
+                    plan, m, args.trials, (args.seed, plan_idx, m), args.workers
+                )
+                rows.append(
+                    (plan.n_segments, plan.n_frequencies, m, exact.value, asym.value,
+                     mc.value, mc.std_error, args.trials, args.seed)
+                )
+        if args.format == "json":
+            payload = [dict(zip(SWEEP_COLUMNS, row)) for row in rows]
+            text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        else:
+            lines = [",".join(SWEEP_COLUMNS)] + [
+                ",".join(f"{v:.10f}" if isinstance(v, float) else str(v) for v in row)
+                for row in rows
+            ]
+            text = "\n".join(lines) + "\n"
+        out.write(text)
     return EXIT_OK
 
 
@@ -255,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_prob.add_argument("--workers", type=positive, default=1)
     p_prob.add_argument("--format", choices=("text", "json"), default="text")
     p_prob.add_argument("--out")
-    p_prob.set_defaults(func=cmd_prob)
+    p_prob.set_defaults(func=cmd_prob, error=p_prob.error)
 
     p_sweep = sub.add_parser("sweep", help="(plan, M) sweep table for plotting")
     p_sweep.add_argument("--plan", action="append", required=True)
@@ -274,8 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (PlanError, OSError) as exc:
@@ -290,9 +292,6 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return EXIT_CAPABILITY
-    except argparse.ArgumentTypeError as exc:
-        parser.error(str(exc))
-        raise AssertionError  # parser.error exits
 
 
 if __name__ == "__main__":

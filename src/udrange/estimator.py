@@ -39,19 +39,10 @@ class ProbabilityEstimate:
     exact_denominator: int | None = field(default=None, repr=False)
 
 
-def prob_exact(plan: FrequencyPlan, m: int) -> ProbabilityEstimate:
-    """Exact P = Z / N^M with Z = sum_j mu(j) * x_j^M in big-integer arithmetic.
-
-    The alternating sum cancels catastrophically in floating point and N^M
-    overflows fixed-width types, so everything stays integer until the final
-    rounding. The weights, the plan's cached coprimality_weights, come from a
-    sieve of mu to T = min(K, (2 L K)^(2/3)) for L segments and the Mertens
-    function. Raises CapabilityError when the plan's largest index K exceeds
-    EXACT_MAX_INDEX or when M * bit_length(N) exceeds EXACT_MAX_BITS, which
-    keeps N^M below 10^4215, inside the 4,300 digits Python prints by default.
-    """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+def check_exact_limits(plan: FrequencyPlan, m: int) -> None:
+    """Raise CapabilityError if prob_exact(plan, m) passes either cap, in O(1):
+    K above EXACT_MAX_INDEX, or M * bit_length(N) above EXACT_MAX_BITS, which
+    keeps N^M below 10^4215, inside the 4,300 digits Python prints by default."""
     if plan.last_index > EXACT_MAX_INDEX:
         raise CapabilityError(
             f"largest plan index {plan.last_index} exceeds the exact method's "
@@ -63,6 +54,20 @@ def prob_exact(plan: FrequencyPlan, m: int) -> ProbabilityEstimate:
             f"exact method needs M * bit_length(N) <= {EXACT_MAX_BITS}, "
             f"got {m} * {bits} = {m * bits}"
         )
+
+
+def prob_exact(plan: FrequencyPlan, m: int) -> ProbabilityEstimate:
+    """Exact P = Z / N^M with Z = sum_j mu(j) * x_j^M in big-integer arithmetic.
+
+    The alternating sum cancels catastrophically in floating point and N^M
+    overflows fixed-width types, so everything stays integer until the final
+    rounding. The weights, the plan's cached coprimality_weights, come from a
+    sieve of mu to T = min(K, (2 L K)^(2/3)) for L segments and the Mertens
+    function. Raises CapabilityError, before any work, via check_exact_limits.
+    """
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    check_exact_limits(plan, m)
     z = sum(w * v**m for v, w in plan.coprimality_weights)
     denom = plan.n_frequencies**m
     return ProbabilityEstimate(
@@ -100,7 +105,8 @@ def prob_montecarlo(
     time into a running gcd and drops the rows that reach 1, so its memory
     does not grow with M; if the whole index set has a gcd above 1, P = 0
     is returned without a draw. Up to min(workers, blocks, CPU count)
-    threads each sum a stride of blocks.
+    threads take one block at a time; the integer hit counts sum the same
+    in any order.
     Columns come from sample_selection_batch, which maps draws through the
     plan's cached bucket table and returns int32 when the plan's last index
     is below 2**31 (int64 otherwise), so the gcd runs in int32 there; the
@@ -132,9 +138,8 @@ def prob_montecarlo(
         return n - int(np.count_nonzero(g > 1))
 
     threads = min(workers, n_blocks, os.cpu_count() or 1)
-    strides = [range(first, n_blocks, threads) for first in range(threads)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        hits = sum(pool.map(lambda blocks: sum(map(block_hits, blocks)), strides))
+        hits = sum(pool.map(block_hits, range(n_blocks)))
     p_hat = hits / trials
     return ProbabilityEstimate(
         value=p_hat,

@@ -2,8 +2,8 @@
 
 The segment boundaries for the multi-segment scenarios are our own
 construction: L near-equal-count segments spread evenly across the band.
-The coprimality probability is insensitive to the placement, which the
-L-independence checks validate.
+For these long segments the coprimality probability barely moves with L, as
+the L-independence checks validate; many short segments need not (README).
 """
 
 from __future__ import annotations

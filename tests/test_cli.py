@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from udrange import MobiusTable, _selfcheck, fig1, sieve_mobius
+from udrange import MobiusTable, _selfcheck, cli, fig1, sieve_mobius
 from udrange.estimator import EXACT_MAX_INDEX
 from udrange.numtheory import mertens_at_quotients
 
@@ -103,7 +103,6 @@ def fill(text, paths):
 
 # argparse's usage block for each command at COLUMNS=80.
 USAGE = {
-    None: "usage: udrange [-h] {ud,prob,sweep,verify} ...\n",
     "ud": """\
 usage: udrange ud [-h] --plan PLAN (--indices INDICES | --select SELECT)
                   [--seed SEED] [--out OUT]
@@ -123,8 +122,7 @@ usage: udrange sweep [-h] --plan PLAN --m-range M_RANGE [--trials TRIALS]
 
 def argparse_error(command, message):
     """argparse's stderr when it refuses an argument of ``udrange command``."""
-    prog = "udrange" if command is None else f"udrange {command}"
-    return f"{USAGE[command]}{prog}: error: {message}\n"
+    return f"{USAGE[command]}udrange {command}: error: {message}\n"
 
 
 EXACT_AND_ASYMPTOTIC_JSON = """\
@@ -275,6 +273,10 @@ PINNED = {
         "ud --plan {L1}", 2, "",
         argparse_error("ud", "one of the arguments --indices --select is required"),
     ),
+    "ud_select_out_unwritable": (
+        "ud --plan {L1} --select 3 --out /nonexistent/x", 2, "",
+        "error: [Errno 2] No such file or directory: '/nonexistent/x'\n",
+    ),
     # prob
     "asymptotic_m10": (
         "prob -m 10 --methods asymptotic", 0,
@@ -332,6 +334,16 @@ PINNED = {
         "prob --plan {L1} -m 1000 --methods exact", 4, "",
         "error: exact method needs M * bit_length(N) <= 14000, got 1000 * 16 = 16000\n",
     ),
+    # The exact method's limits are checked before any method runs.
+    "monte_carlo_then_exact_digits_cap": (
+        "prob --plan {L1} -m 876 --methods monte_carlo,exact --trials 10", 4, "",
+        "error: exact method needs M * bit_length(N) <= 14000, got 876 * 16 = 14016\n",
+    ),
+    # A refused run prints only its refusal, not the m = 2 warning.
+    "exact_over_index_cap_m2": (
+        "prob -m 2 --plan {over_cap}", 4, "",
+        "error: largest plan index 10000001 exceeds the exact method's cap 10000000\n",
+    ),
     "monte_carlo_stream": (
         "prob --plan {L12} -m 3 --methods monte_carlo --trials 200000 --seed 7", 0,
         "m = 3\nP_monte_carlo = 0.8313900000  (trials=200000, stderr=8.37e-04)\n", "",
@@ -363,11 +375,23 @@ PINNED = {
     ),
     "exact_without_plan": (
         "prob -m 3 --methods exact", 2, "",
-        "error: --plan is required for the exact and monte_carlo methods\n",
+        argparse_error(
+            "prob", "--plan is required for the exact and monte_carlo methods"
+        ),
     ),
     "monte_carlo_without_plan": (
         "prob -m 3 --methods monte_carlo --trials 10", 2, "",
-        "error: --plan is required for the exact and monte_carlo methods\n",
+        argparse_error(
+            "prob", "--plan is required for the exact and monte_carlo methods"
+        ),
+    ),
+    "monte_carlo_without_trials": (
+        "prob --plan {L1} -m 3 --methods monte_carlo", 2, "",
+        argparse_error("prob", "--trials is required for monte_carlo"),
+    ),
+    "unknown_method": (
+        "prob --plan {L1} -m 3 --methods exact,bogus", 2, "",
+        argparse_error("prob", "unknown method 'bogus'"),
     ),
     "prob_out_unwritable": (
         "prob --plan {L1} -m 3 --out /nonexistent/x", 2, "",
@@ -376,10 +400,9 @@ PINNED = {
     "prob_m0": (
         "prob -m 0", 2, "", argparse_error("prob", "argument -m: must be >= 1, got 0")
     ),
-    # Checked after parsing, so argparse reports it with the top-level usage.
     "asymptotic_m1": (
         "prob -m 1 --methods asymptotic", 2, "",
-        argparse_error(None, "asymptotic needs -m >= 2, got 1"),
+        argparse_error("prob", "asymptotic needs -m >= 2, got 1"),
     ),
     "prob_seed_negative": (
         "prob --plan {L1} -m 3 --methods monte_carlo --trials 10 --seed -1", 2, "",
@@ -422,6 +445,15 @@ PINNED = {
         )
         for lo in (0, 1)
     },
+    # Checked at the largest M before any row is computed.
+    "sweep_digits_cap": (
+        "sweep --plan {L1} --m-range 875..876 --trials 10", 4, "",
+        "error: exact method needs M * bit_length(N) <= 14000, got 876 * 16 = 14016\n",
+    ),
+    "sweep_out_unwritable": (
+        "sweep --plan {L1} --m-range 3..3 --trials 10 --out /nonexistent/x", 2, "",
+        "error: [Errno 2] No such file or directory: '/nonexistent/x'\n",
+    ),
     "sweep_trials_0": (
         "sweep --plan {L1} --m-range 3..3 --trials 0", 2, "",
         argparse_error("sweep", "argument --trials: must be >= 1, got 0"),
@@ -451,6 +483,25 @@ def pinned_run(row, paths):
 
 @pytest.mark.parametrize("row", PINNED)
 def test_pinned_output(row, pinned_paths):
+    argv, expected = pinned_run(row, pinned_paths)
+    assert run_main(argv) == expected
+
+
+REFUSED_ROWS = [row for row, (_, code, _, _) in PINNED.items() if code != 0]
+WORK = (
+    "prob_exact", "prob_asymptotic", "prob_montecarlo", "compute_ud",
+    "sample_selection_batch",
+)
+
+
+@pytest.mark.parametrize("row", REFUSED_ROWS)
+def test_refusals_do_no_work(row, pinned_paths, monkeypatch):
+    # Every refusal comes before the first estimator call or draw.
+    def work(*args, **kwargs):
+        raise AssertionError(f"{row} started work before its refusal")
+
+    for name in WORK:
+        monkeypatch.setattr(cli, name, work)
     argv, expected = pinned_run(row, pinned_paths)
     assert run_main(argv) == expected
 

@@ -152,16 +152,23 @@ def argvs(draw, plan_path, out_choices):
 )
 @given(data=st.data())
 def test_cli_exits_with_a_documented_code(data, tmp_path):
-    plan_path = tmp_path / "plan.json"
+    plan_path, out_path = tmp_path / "plan.json", tmp_path / "out.txt"
     plan_path.write_text(data.draw(plan_texts, label="plan"))
+    out_path.unlink(missing_ok=True)  # tmp_path is shared by every example
     # --out: stdout, a writable file, a file in a missing directory, a directory.
     out_choices = [
         None,
-        str(tmp_path / "out.txt"),
+        str(out_path),
         str(tmp_path / "missing" / "out.txt"),
         str(tmp_path),
     ]
     argv = data.draw(argvs(str(plan_path), out_choices), label="argv")
-    code, _, err = run_main(argv)
+    code, out, err = run_main(argv)
     assert code in EXIT_CODES, (code, err)
     assert "Traceback" not in err
+    # --out is opened only once every check has passed: a refused run leaves
+    # no file, and a run that exits 0 writes its output there, not to stdout.
+    written = code == 0 and str(out_path) in argv
+    assert out_path.exists() == written, (code, err)
+    if written:
+        assert out == "" and out_path.read_text()

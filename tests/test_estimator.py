@@ -71,6 +71,22 @@ class TestProbExact:
         with pytest.raises(CapabilityError):
             prob_exact(fig1_plan_l1, 876)
 
+    # L segments of `count` indices at 54,000 + step * i on a 1 kHz grid. Every
+    # start is a multiple of 4 and every count odd, so each segment holds one
+    # more even index than odd: at L = 1,200, P(M = 3) is 0.0129 below
+    # 1/zeta(3) = 0.8319073726, where the bundled plans stay within 1e-4.
+    @pytest.mark.parametrize(
+        "n_segments, count, step, p3, p10",
+        [
+            (12, 2_731, 67_332, "0.8317145249", "0.9990027071"),
+            (120, 273, 6_732, "0.8307623374", "0.9989700480"),
+            (1_200, 27, 672, "0.8189589964", "0.9985781137"),
+        ],
+    )
+    def test_adversarial_plans_are_pinned(self, n_segments, count, step, p3, p10):
+        plan = make_plan([(54_000 + step * i, count) for i in range(n_segments)])
+        assert [f"{prob_exact(plan, m).value:.10f}" for m in (3, 10)] == [p3, p10]
+
     @given(plan=small_plans(max_segments=3, max_count=15, total_cap=40))
     @settings(max_examples=20, deadline=None)
     def test_matches_enumeration(self, plan):
@@ -261,7 +277,7 @@ class TestProbMonteCarlo:
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
         wide = prob_montecarlo(fig1_plan_l1, 3, trials, seed=5, workers=64)
         assert seen["max_workers"] and max(seen["max_workers"]) <= 2
-        assert seen["tasks"] <= 2
+        assert seen["tasks"] == 5  # one task per block
         assert wide == serial
 
     @pytest.mark.parametrize(
