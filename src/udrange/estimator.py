@@ -28,15 +28,18 @@ class CapabilityError(RuntimeError):
 
 @dataclass(frozen=True)
 class ProbabilityEstimate:
-    """A value of P with its method tag and, for Monte Carlo, its error bar."""
+    """A value of P with its method tag and, for Monte Carlo, its trial count,
+    from which the Wald error bar std_error is derived (0.0 with no trials)."""
 
     value: float
     method: str  # exact | asymptotic | monte_carlo
-    m: int
     trials: int = 0
-    std_error: float = 0.0
     exact_numerator: int | None = field(default=None, repr=False)
     exact_denominator: int | None = field(default=None, repr=False)
+
+    @property
+    def std_error(self) -> float:
+        return sqrt(self.value * (1.0 - self.value) / self.trials) if self.trials else 0.0
 
 
 def check_exact_limits(plan: FrequencyPlan, m: int) -> None:
@@ -73,7 +76,6 @@ def prob_exact(plan: FrequencyPlan, m: int) -> ProbabilityEstimate:
     return ProbabilityEstimate(
         value=z / denom,
         method="exact",
-        m=m,
         exact_numerator=z,
         exact_denominator=denom,
     )
@@ -82,11 +84,10 @@ def prob_exact(plan: FrequencyPlan, m: int) -> ProbabilityEstimate:
 def prob_asymptotic(m: int) -> ProbabilityEstimate:
     """Asymptotic P = 1/zeta(M), accurate to zeta_int's ZETA_TOL = 1e-12.
 
-    zeta(m) > 1, so the reciprocal's error is no larger than zeta's own.
+    zeta(m) > 1, so the reciprocal's error is no larger than zeta's own;
+    zeta_int raises ValueError for m < 2.
     """
-    if m < 2:
-        raise ValueError(f"asymptotic form needs m >= 2, got {m}")
-    return ProbabilityEstimate(value=1.0 / zeta_int(m), method="asymptotic", m=m)
+    return ProbabilityEstimate(value=1.0 / zeta_int(m), method="asymptotic")
 
 
 def prob_montecarlo(
@@ -104,8 +105,9 @@ def prob_montecarlo(
     bit-identical for any worker count. A block folds one drawn column at a
     time into a running gcd and drops the rows that reach 1, so its memory
     does not grow with M; if the whole index set has a gcd above 1, P = 0
-    is returned without a draw. Up to min(workers, blocks, CPU count)
-    threads take one block at a time; the integer hit counts sum the same
+    is returned without a draw. Each of T = min(workers, blocks, CPU count)
+    threads runs one pool task, blocks i, i + T, i + 2T, ..., so the pool
+    holds T futures whatever ``trials`` is; integer hit counts sum the same
     in any order.
     Columns come from sample_selection_batch, which maps draws through the
     plan's cached bucket table and returns int32 when the plan's last index
@@ -119,7 +121,7 @@ def prob_montecarlo(
         raise ValueError(f"seed must be non-negative, got {seed}")
     # G > 1 only when every segment is a single index; then no row is coprime.
     if gcd_all(s.start if s.count == 1 else 1 for s in plan.segments) > 1:
-        return ProbabilityEstimate(value=0.0, method="monte_carlo", m=m, trials=trials)
+        return ProbabilityEstimate(value=0.0, method="monte_carlo", trials=trials)
     from concurrent.futures import ThreadPoolExecutor
 
     import numpy as np
@@ -138,13 +140,10 @@ def prob_montecarlo(
         return n - int(np.count_nonzero(g > 1))
 
     threads = min(workers, n_blocks, os.cpu_count() or 1)
+
+    def stride_hits(i: int) -> int:
+        return sum(map(block_hits, range(i, n_blocks, threads)))
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        hits = sum(pool.map(block_hits, range(n_blocks)))
-    p_hat = hits / trials
-    return ProbabilityEstimate(
-        value=p_hat,
-        method="monte_carlo",
-        m=m,
-        trials=trials,
-        std_error=sqrt(p_hat * (1.0 - p_hat) / trials),
-    )
+        hits = sum(pool.map(stride_hits, range(threads)))
+    return ProbabilityEstimate(value=hits / trials, method="monte_carlo", trials=trials)

@@ -136,20 +136,11 @@ def zeta_int(m: int) -> float:
 
 
 def gcd_all(values: Iterable[int] | Sequence[int]) -> int:
-    """GCD of a non-empty collection of positive integers.
-
-    Early-exits once the running gcd hits 1, which is the common case for
-    random inputs.
-    """
-    g = 0
-    n = 0
+    """GCD of a non-empty collection of positive integers."""
+    values = [int(v) for v in values]
+    if not values:
+        raise ValueError("gcd_all requires at least one value")
     for v in values:
-        v = int(v)
         if v < 1:
             raise ValueError(f"all values must be positive integers, got {v}")
-        n += 1
-        if g != 1:
-            g = math.gcd(g, v)
-    if n == 0:
-        raise ValueError("gcd_all requires at least one value")
-    return g
+    return math.gcd(*values)

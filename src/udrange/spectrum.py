@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -259,16 +260,19 @@ def selection_from_indices(
     """The indices as ints, each checked against the plan's segments.
 
     Raises SelectionError if empty, or for a non-integer or out-of-plan entry.
+    The segments are sorted and disjoint, so each index is found by bisection.
     """
     if not indices:
         raise SelectionError("selection must contain at least one index")
+    starts = [s.start for s in plan.segments]
     checked = []
     for k in indices:
         try:
             k = int(k)
         except ValueError:
             raise SelectionError(f"index {k!r} is not an integer") from None
-        if not any(s.start <= k <= s.end for s in plan.segments):
+        i = bisect_right(starts, k) - 1
+        if i < 0 or k > plan.segments[i].end:
             raise SelectionError(f"index {k} is not in the plan's index set")
         checked.append(k)
     return tuple(checked)

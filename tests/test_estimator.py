@@ -277,7 +277,23 @@ class TestProbMonteCarlo:
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
         wide = prob_montecarlo(fig1_plan_l1, 3, trials, seed=5, workers=64)
         assert seen["max_workers"] and max(seen["max_workers"]) <= 2
-        assert seen["tasks"] == 5  # one task per block
+        assert seen["tasks"] == 2  # one task per thread
+        assert wide == serial
+
+    def test_pool_tasks_do_not_grow_with_trials(self, fig1_plan_l1, monkeypatch):
+        tasks = []
+
+        class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                tasks.append(args)
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(estimator, "MC_BLOCK_SIZE", 1)
+        monkeypatch.setattr(estimator.os, "cpu_count", lambda: 2)
+        serial = prob_montecarlo(fig1_plan_l1, 3, 10_000, seed=8, workers=1)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+        wide = prob_montecarlo(fig1_plan_l1, 3, 10_000, seed=8, workers=2)
+        assert len(tasks) == 2  # 10,000 one-trial blocks, one task per thread
         assert wide == serial
 
     @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
+import ast
 import subprocess
 import sys
+from pathlib import Path
 
 import udrange
 from udrange import ranging, spectrum
@@ -37,3 +39,15 @@ def test_import_leaves_numpy_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False False\n"
+
+
+def test_sources_parse_with_python_3_10_grammar():
+    """Every .py file under src/, tests/ and scripts/ parses with Python
+    3.10's grammar, the oldest that pyproject.toml allows: this rejects
+    3.11 syntax such as ``except*``. It checks grammar only, not stdlib
+    names that are new in 3.11."""
+    root = Path(__file__).resolve().parent.parent
+    paths = sorted(p for d in ("src", "tests", "scripts") for p in (root / d).rglob("*.py"))
+    assert paths
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))

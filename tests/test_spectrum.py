@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -307,3 +308,14 @@ class TestSelectionFromIndices:
     def test_rejects_empty(self):
         with pytest.raises(SelectionError):
             selection_from_indices(make_plan([(5, 3)]), [])
+
+    def test_many_segments_are_searched_by_bisection(self):
+        # The shape of test_cli's `singles` plan: 200,000 single indices 40 apart.
+        plan = make_plan([(40 * i, 1) for i in range(1, 200_001)])
+        indices = [40 * i for i in range(199_000, 200_001)]
+        start = time.perf_counter()
+        assert selection_from_indices(plan, indices) == tuple(indices)
+        assert time.perf_counter() - start < 1.0
+        for k in (41, 39, 8_000_040):  # in a gap, below the first, above the last
+            with pytest.raises(SelectionError, match=f"index {k} is not in"):
+                selection_from_indices(plan, indices + [k])
