@@ -34,10 +34,11 @@ def sieve_mobius(limit: int) -> MobiusTable:
     other j with ``prod[j] < j``). That is O(sqrt(limit) / log limit)
     Python-level steps and O(limit log log limit) array work, with flat int8
     storage. ``prod[j]`` is a product of distinct primes dividing j, so at
-    most j: ``prod`` and its index range are int32 below 2**31.
+    most j: ``prod`` and its index range are int32, so a limit of 2**31 or
+    more is refused before any allocation (the exact method sieves to <= 10**7).
     """
-    if limit < 1:
-        raise ValueError(f"sieve limit must be >= 1, got {limit}")
+    if not 1 <= limit < 2**31:
+        raise ValueError(f"sieve limit must be in [1, 2**31), got {limit}")
     import numpy as np
 
     mu = np.ones(limit + 1, dtype=np.int8)
@@ -48,14 +49,13 @@ def sieve_mobius(limit: int) -> MobiusTable:
     for p in range(2, math.isqrt(root) + 1):
         if is_prime[p]:
             is_prime[p * p :: p] = False
-    dtype = np.int32 if limit < 2**31 else np.int64
-    prod = np.ones(limit + 1, dtype=dtype)
+    prod = np.ones(limit + 1, dtype=np.int32)
     for p in np.flatnonzero(is_prime):
         p = int(p)
         mu[p::p] *= -1
         mu[p * p :: p * p] = 0
         prod[p::p] *= p
-    mu[prod < np.arange(limit + 1, dtype=dtype)] *= -1
+    mu[prod < np.arange(limit + 1, dtype=np.int32)] *= -1
     return MobiusTable(limit=limit, values=mu)
 
 
@@ -85,8 +85,8 @@ def mertens_at_quotients(ends: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     b = b[np.diff(b, prepend=0) > 0]
     # T >= isqrt(K), so every quotient in a group lies inside the sieve.
     t = max(1, min(top, round((len(ends) * top) ** (2 / 3))))
-    # |M(x)| <= x <= t, so below 2**31 the cumulative sum fits in int32.
-    small = np.cumsum(sieve_mobius(t).values, dtype=np.int32 if t < 2**31 else np.int64)
+    # |M(x)| <= x <= t < 2**31, the sieve's bound, so the sum fits in int32.
+    small = np.cumsum(sieve_mobius(t).values, dtype=np.int32)
     low = int(np.searchsorted(b, t, side="right"))
     m = np.empty(len(b), dtype=np.int64)
     m[:low] = small[b[:low]]

@@ -14,33 +14,34 @@ TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class UdResult:
-    """GCD of a selection's indices and the resulting unambiguous distance."""
+    """GCD of a selection's indices and the exact unambiguous distance in metres."""
 
     gcd_k: int
-    ud_m: float
-    is_max: bool
-    ud_km: float
+    ud: Fraction
+
+    @property
+    def ud_m(self) -> float:
+        return float(self.ud)
+
+    @property
+    def ud_km(self) -> float:
+        return float(self.ud / 1000)
+
+    @property
+    def is_max(self) -> bool:
+        return self.gcd_k == 1
 
 
 def compute_ud(plan: FrequencyPlan, selection: tuple[int, ...]) -> UdResult:
     """Unambiguous distance c / (k * f_min), k = gcd of the selected indices.
 
     The distance is the LCM of the selected wavelengths; a single-frequency
-    selection degenerates to its own wavelength. ud_m and ud_km are each
-    rounded once from the exact rational, since k * f_min can overflow a double.
+    selection degenerates to its own wavelength. It stays an exact rational:
+    ud_m and ud_km are each rounded once from it, since k * f_min can overflow
+    a double, and the phase checks compare against it exactly.
     """
     k = gcd_all(selection)
-    ud = _ud_of_gcd(plan, k)
-    return UdResult(gcd_k=k, ud_m=float(ud), is_max=(k == 1), ud_km=float(ud / 1000))
-
-
-def exact_ud_m(plan: FrequencyPlan, selection: tuple[int, ...]) -> Fraction:
-    """The unambiguous distance as an exact rational, for tight phase checks."""
-    return _ud_of_gcd(plan, gcd_all(selection))
-
-
-def _ud_of_gcd(plan: FrequencyPlan, k: int) -> Fraction:
-    return Fraction(SPEED_OF_LIGHT_M_S) / (k * Fraction(plan.f_min_hz))
+    return UdResult(k, Fraction(SPEED_OF_LIGHT_M_S) / (k * Fraction(plan.f_min_hz)))
 
 
 def _cycles(
@@ -87,7 +88,7 @@ def verify_ambiguity(
     them.
     """
     base = _cycles(plan, selection, distance_m)
-    distance, ud = Fraction(distance_m), exact_ud_m(plan, selection)
+    distance, ud = Fraction(distance_m), compute_ud(plan, selection).ud
     return _cycles(plan, selection, distance + ud) == base and all(
         _cycles(plan, selection, distance + q * ud) != base
         for q in _PROBE_FRACTIONS

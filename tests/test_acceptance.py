@@ -14,7 +14,7 @@ import pytest
 from udrange import fig1
 from udrange.estimator import prob_asymptotic, prob_exact, prob_montecarlo
 from udrange.numtheory import sieve_mobius, zeta_int
-from udrange.ranging import exact_ud_m, phase_shifts
+from udrange.ranging import compute_ud, phase_shifts
 from udrange.spectrum import sample_selection_batch, validate_plan
 
 from .conftest import PLAN_DIR, random_tiny_plan
@@ -128,7 +128,7 @@ def test_criterion_6_ud_periodicity(fig1_plans):
             total += 1
             sel = tuple(sample_selection_batch(plan, 7, rng).tolist())
             r = Fraction(float(rng.uniform(0.0, 299_792.458)))
-            ud = exact_ud_m(plan, sel)
+            ud = compute_ud(plan, sel).ud
             base = phase_shifts(plan, sel, r)
             shifted = phase_shifts(plan, sel, r + ud)
             if any(

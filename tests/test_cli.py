@@ -445,6 +445,12 @@ PINNED = {
         )
         for lo in (0, 1)
     },
+    "sweep_m_range_malformed": (
+        "sweep --plan {L1} --m-range 3-5", 2, "",
+        argparse_error(
+            "sweep", "argument --m-range: m-range must look like A..B, got '3-5'"
+        ),
+    ),
     # Checked at the largest M before any row is computed.
     "sweep_digits_cap": (
         "sweep --plan {L1} --m-range 875..876 --trials 10", 4, "",
@@ -733,11 +739,18 @@ class TestSweepCommand:
 
 class TestVerifyCommand:
     def test_injected_fault_fails(self, monkeypatch):
-        failing = _selfcheck.CheckResult("gcd_known_values", False, "forced")
-        monkeypatch.setattr(_selfcheck, "_check_gcd", lambda: failing)
+        monkeypatch.setattr(_selfcheck, "_check_gcd", lambda: (False, "forced"))
         code, out, _ = run_main(["verify", "--quick"])
         assert code == 1
         assert "FAIL gcd_known_values: forced" in out
+
+    def test_quick_builds_no_fig1_plan(self, monkeypatch):
+        def no_plan(*args):
+            raise AssertionError("verify --quick built a Fig. 1 plan")
+
+        for name in ("all_plans", "make_plan"):
+            monkeypatch.setattr(fig1, name, no_plan)
+        assert run_main(["verify", "--quick"]) == (0, VERIFY_QUICK, "")
 
     def test_wrong_mertens_value_fails(self, monkeypatch):
         def off_by_one(ends):

@@ -1,5 +1,6 @@
 import concurrent.futures
 import math
+import re
 import time
 import tracemalloc
 from fractions import Fraction
@@ -240,6 +241,12 @@ class TestProbMonteCarlo:
     def test_rejects_zero_trials(self, fig1_plan_l1):
         with pytest.raises(ValueError):
             prob_montecarlo(fig1_plan_l1, 3, 0, seed=1)
+
+    @pytest.mark.parametrize("seed", [-1, (2014, -1)])
+    def test_rejects_negative_seed(self, fig1_plan_l1, seed):
+        message = f"seed must be non-negative, got {seed}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            prob_montecarlo(fig1_plan_l1, 3, 10, seed=seed)
 
     def test_calibration_over_seeds(self, fig1_plan_l1):
         exact = prob_exact(fig1_plan_l1, 5).value

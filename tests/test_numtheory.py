@@ -38,6 +38,14 @@ class TestSieveMobius:
         with pytest.raises(ValueError):
             sieve_mobius(0)
 
+    def test_refuses_int32_overflow_before_allocating(self, monkeypatch):
+        def no_alloc(*args, **kwargs):
+            raise AssertionError("allocated before refusing")
+
+        monkeypatch.setattr(np, "ones", no_alloc)
+        with pytest.raises(ValueError, match=r"2\*\*31\), got 2147483648"):
+            sieve_mobius(2**31)
+
     def test_large_prime_spot_check(self):
         assert is_prime_trial_division(999_983)
         assert sieve_mobius(1_000_000).values[999_983] == -1

@@ -7,8 +7,8 @@ import pytest
 from udrange import ranging
 from udrange.ranging import (
     SPEED_OF_LIGHT_M_S,
+    UdResult,
     compute_ud,
-    exact_ud_m,
     phase_shifts,
     verify_ambiguity,
 )
@@ -47,7 +47,7 @@ class TestComputeUd:
             rb = compute_ud(PLAN, base)
             rs = compute_ud(PLAN, scaled)
             assert rs.gcd_k == d * rb.gcd_k
-            assert exact_ud_m(PLAN, scaled) * d == exact_ud_m(PLAN, base)
+            assert rs.ud * d == rb.ud
 
     def test_is_max_iff_setwise_coprime(self):
         rng = np.random.default_rng(17)
@@ -84,7 +84,7 @@ class TestPhaseShifts:
         rng = np.random.default_rng(31)
         for _ in range(30):
             sel = tuple(sample_selection_batch(PLAN, 5, rng).tolist())
-            ud = exact_ud_m(PLAN, sel)
+            ud = compute_ud(PLAN, sel).ud
             r = Fraction(float(rng.uniform(0.0, 299_792.458)))
             base = phase_shifts(PLAN, sel, r)
             for n in (1, 2, 5):
@@ -110,11 +110,14 @@ class TestVerifyAmbiguity:
 
     def test_rejects_slightly_wrong_ud(self, monkeypatch):
         # A float tolerance on phases cannot see a relative UD error of 1e-13.
-        true_ud = ranging.exact_ud_m
+        true_ud = ranging.compute_ud
         scale = 1 + Fraction(1, 10**13)
-        monkeypatch.setattr(
-            ranging, "exact_ud_m", lambda plan, sel: true_ud(plan, sel) * scale
-        )
+
+        def wrong_ud(plan, sel):
+            r = true_ud(plan, sel)
+            return UdResult(r.gcd_k, r.ud * scale)
+
+        monkeypatch.setattr(ranging, "compute_ud", wrong_ud)
         assert not verify_ambiguity(PLAN, (54000, 54001), 100.0)
 
     def test_rejects_negative_distance(self):
