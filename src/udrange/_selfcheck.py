@@ -79,9 +79,9 @@ def _check_mertens() -> Check:
 
 def _check_exact_enumeration() -> Check:
     plans = [
-        FrequencyPlan(1000.0, (Segment(1, 4),)),
-        FrequencyPlan(1000.0, (Segment(7, 12), Segment(30, 9))),
-        FrequencyPlan(1000.0, (Segment(100, 25),)),
+        FrequencyPlan(Fraction(1000), (Segment(1, 4),)),
+        FrequencyPlan(Fraction(1000), (Segment(7, 12), Segment(30, 9))),
+        FrequencyPlan(Fraction(1000), (Segment(100, 25),)),
     ]
     for plan in plans:
         for m in (2, 3):
@@ -95,7 +95,7 @@ def _check_exact_enumeration() -> Check:
 def _check_periodicity() -> Check:
     import numpy as np
 
-    plan = FrequencyPlan(1000.0, (Segment(54000, 200), Segment(60000, 100)))
+    plan = FrequencyPlan(Fraction(1000), (Segment(54000, 200), Segment(60000, 100)))
     rng = np.random.default_rng(12345)
     for _ in range(25):
         sel = tuple(sample_selection_batch(plan, 4, rng).tolist())

@@ -8,12 +8,14 @@ Exit codes: 0 ok, 1 verify failure, 2 bad arguments or plan parse error,
 3 invalid selection, 4 capability exceeded (for the exact method, a largest
 plan index above 10^7, or M * bit_length(N) above 14,000) or out of memory.
 A plan whose f_min_hz is so small that c / f_min_hz overflows a double
-(below about 1.67e-300) is a plan error and exits 2.
+(below about 1.67e-300) is a plan error and exits 2. A fractional f_min_hz is
+read exactly from its decimal digits, so 0.1 is 1/10 Hz.
 Argument errors exit 2 with the subcommand's usage and a one-line error:
 -m, --select, --trials or --workers below 1, --select above 1,000,000, a
 negative --seed, M below 2 where 1/zeta(M) is asked (asymptotic, sweep), an
-empty --m-range, an unknown method, monte_carlo without --trials, exact or
-monte_carlo without --plan, or both or neither of ud's --indices and --select.
+empty --m-range, an unknown or repeated method, monte_carlo without --trials,
+exact or monte_carlo without --plan, or both or neither of ud's --indices and
+--select.
 Every refusal comes before any work: --out is opened once all checks pass, so
 a refused run leaves no file (an unwritable --out exits 2); only a run that
 runs out of memory midway leaves an empty one.
@@ -138,9 +140,11 @@ def cmd_ud(args: argparse.Namespace) -> int:
 
 def cmd_prob(args: argparse.Namespace) -> int:
     methods = [m.strip() for m in args.methods.split(",")]
-    for method in methods:
+    for i, method in enumerate(methods):
         if method not in METHODS:
             args.error(f"unknown method {method!r}")
+        if method in methods[:i]:
+            args.error(f"repeated method {method!r}")
     if not args.plan and ("exact" in methods or "monte_carlo" in methods):
         args.error("--plan is required for the exact and monte_carlo methods")
     if "monte_carlo" in methods and not args.trials:

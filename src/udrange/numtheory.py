@@ -26,16 +26,18 @@ class MobiusTable:
 def sieve_mobius(limit: int) -> MobiusTable:
     """Sieve mu(j) for all j <= limit.
 
-    Only the primes p <= sqrt(limit) are sieved: each flips the sign of mu on
-    its multiples, zeroes mu on multiples of p^2 and multiplies ``prod`` by p
-    on its multiples. A squarefree j <= limit has at most one prime factor
+    One loop walks p = 2..isqrt(limit) in order. p is prime exactly when
+    ``prod[p]`` is still 1, since every smaller prime has already multiplied
+    into ``prod`` on its multiples. Each prime flips the sign of mu on its
+    multiples, zeroes mu on multiples of p^2 and multiplies ``prod`` by p on
+    its multiples. A squarefree j <= limit has at most one prime factor
     above sqrt(limit), and has one exactly when ``prod[j] < j``, so one
     vectorised step supplies that factor's sign (mu is already 0 at every
-    other j with ``prod[j] < j``). That is O(sqrt(limit) / log limit)
-    Python-level steps and O(limit log log limit) array work, with flat int8
-    storage. ``prod[j]`` is a product of distinct primes dividing j, so at
-    most j: ``prod`` and its index range are int32, so a limit of 2**31 or
-    more is refused before any allocation (the exact method sieves to <= 10**7).
+    other j with ``prod[j] < j``). That is O(sqrt(limit)) scalar reads and
+    O(limit log log limit) array work, with flat int8 storage. ``prod[j]`` is
+    a product of distinct primes dividing j, so at most j: ``prod`` and its
+    index range are int32, so a limit of 2**31 or more is refused before any
+    allocation (the exact method sieves to <= 10**7).
     """
     if not 1 <= limit < 2**31:
         raise ValueError(f"sieve limit must be in [1, 2**31), got {limit}")
@@ -43,18 +45,12 @@ def sieve_mobius(limit: int) -> MobiusTable:
 
     mu = np.ones(limit + 1, dtype=np.int8)
     mu[0] = 0
-    root = math.isqrt(limit)
-    is_prime = np.ones(root + 1, dtype=bool)
-    is_prime[:2] = False
-    for p in range(2, math.isqrt(root) + 1):
-        if is_prime[p]:
-            is_prime[p * p :: p] = False
     prod = np.ones(limit + 1, dtype=np.int32)
-    for p in np.flatnonzero(is_prime):
-        p = int(p)
-        mu[p::p] *= -1
-        mu[p * p :: p * p] = 0
-        prod[p::p] *= p
+    for p in range(2, math.isqrt(limit) + 1):
+        if prod[p] == 1:
+            mu[p::p] *= -1
+            mu[p * p :: p * p] = 0
+            prod[p::p] *= p
     mu[prod < np.arange(limit + 1, dtype=np.int32)] *= -1
     return MobiusTable(limit=limit, values=mu)
 
@@ -69,8 +65,10 @@ def mertens_at_quotients(ends: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     of M(v // d) (Deleglise and Rivat, "Computing the summation of the Mobius
     function", Exp. Math. 5, 1996): the d <= isqrt(v) are summed one by one,
     reading M(v // d) from the sieve or from the values filled before, and
-    the larger d are grouped by their quotient q <= isqrt(v), which is at
-    most T. Each v costs O(sqrt(v)) vectorised steps, and there are at most
+    the larger d are grouped by their quotient q <= s = v // (isqrt(v) + 1),
+    which is at most T. By Abel summation that group is the sum over q <= s
+    of mu(q) * (v // q), less (v // (s + 1)) * M(s), so it reads mu from the
+    sieve. Each v costs O(sqrt(v)) vectorised steps, and there are at most
     K / T of them per n, so E = len(ends) values cost about E K / sqrt(T)
     steps against the sieve's O(T). T = (E K)^(2/3), capped at K, balances
     the two; at T = K the loop does not run.
@@ -86,22 +84,23 @@ def mertens_at_quotients(ends: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     # T >= isqrt(K), so every quotient in a group lies inside the sieve.
     t = max(1, min(top, round((len(ends) * top) ** (2 / 3))))
     # |M(x)| <= x <= t < 2**31, the sieve's bound, so the sum fits in int32.
-    small = np.cumsum(sieve_mobius(t).values, dtype=np.int32)
+    mu = sieve_mobius(t).values
+    small = np.cumsum(mu, dtype=np.int32)
     low = int(np.searchsorted(b, t, side="right"))
     m = np.empty(len(b), dtype=np.int64)
     m[:low] = small[b[:low]]
-    d = np.arange(math.isqrt(top) + 2)
+    d = np.arange(math.isqrt(top) + 1)
     for k, v in enumerate(b[low:].tolist(), low):
         r = math.isqrt(v)
         hi = v // (t + 1) + 1  # v // d > t exactly for 2 <= d < hi
         s = v // (r + 1)  # largest quotient of a d > r
-        w = v // d[1 : s + 2]  # w[q - 1] - w[q] values of d give v // d = q
         # Each v // d > t is in b, below v: v = n // q, so v // d = n // (qd),
         # and qd <= isqrt(n) because otherwise n // (qd) <= isqrt(n) <= t.
         m[k] = 1 - (
             m[np.searchsorted(b, v // d[2:hi])].sum()
             + small[v // d[hi : r + 1]].sum()
-            + np.dot(w[:-1] - w[1:], small[1 : s + 1])
+            + np.dot(v // d[1 : s + 1], mu[1 : s + 1])
+            - (v // (s + 1)) * int(small[s])  # int * np.int32 would stay int32
         )
     return b, m
 

@@ -7,6 +7,8 @@ import math
 import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
+from decimal import Decimal
+from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterator, Mapping, Sequence
@@ -45,11 +47,12 @@ class FrequencyPlan:
     """Available bandwidth: f_min grid spacing plus disjoint index segments.
 
     Segment l covers grid indices [a_l, a_l + count_l - 1], i.e. frequencies
-    a_l * f_min .. (a_l + count_l - 1) * f_min. State derived from the plan is
-    computed once per object, on first use, and freed with it.
+    a_l * f_min .. (a_l + count_l - 1) * f_min, with f_min_hz exact. State
+    derived from the plan is computed once per object, on first use, and
+    freed with it.
     """
 
-    f_min_hz: float
+    f_min_hz: Fraction
     segments: tuple[Segment, ...]
 
     @property
@@ -131,12 +134,13 @@ def validate_plan(raw: Mapping[str, Any]) -> FrequencyPlan:
 
     Accepts ``{"f_min_hz": number, "segments": [{"start_index", "count"}, ...]}``.
     Segments are sorted by start index. f_min must be a finite positive
-    number for which the maximal UD c / f_min is a finite double (f_min above
-    about 1.67e-300), and both segment fields integers; bools, strings,
-    fractional or non-finite values, overlaps, zero counts, zero start
-    indices and indices above 2**63 - 1 (sampling maps positions through
-    int64 arrays) are rejected, never coerced, as is a raw value that is not
-    a mapping.
+    number (a Decimal too) for which the maximal UD c / f_min is a finite
+    double (f_min above about 1.67e-300); it is kept as an exact Fraction, so
+    a Decimal 0.1 is exactly 1/10. Both segment fields must be integers;
+    bools, strings, fractional or non-finite values, overlaps, zero counts,
+    zero start indices and indices above 2**63 - 1 (sampling maps positions
+    through int64 arrays) are rejected, never coerced, as is a raw value that
+    is not a mapping.
     """
     if not isinstance(raw, Mapping):
         raise PlanError(f"plan must be a JSON object, got {type(raw).__name__}")
@@ -145,16 +149,21 @@ def validate_plan(raw: Mapping[str, Any]) -> FrequencyPlan:
         raw_segments = raw["segments"]
     except KeyError as exc:
         raise PlanError(f"plan is missing required field: {exc}") from exc
-    if isinstance(f_min, bool) or not isinstance(f_min, numbers.Real):
+    if isinstance(f_min, bool) or not isinstance(f_min, (numbers.Real, Decimal)):
         raise PlanError(f"f_min_hz must be a number, got {f_min!r}")
     try:
-        f_min = float(f_min)
+        shown = float(f_min)  # how the errors quote f_min
     except OverflowError:
-        f_min = math.inf
-    if not 0 < f_min < math.inf:
-        raise PlanError(f"f_min_hz must be finite and positive, got {f_min}")
-    if SPEED_OF_LIGHT_M_S / f_min == math.inf:
-        raise PlanError(f"f_min_hz is too small: c / f_min_hz overflows, got {f_min}")
+        shown = math.inf
+    if not 0 < shown < math.inf:
+        raise PlanError(f"f_min_hz must be finite and positive, got {shown}")
+    # Checked on the double, as before: the double nearest the bound on f_min
+    # lies below it, so every f_min whose exact c / f_min overflows is refused.
+    if SPEED_OF_LIGHT_M_S / shown == math.inf:
+        raise PlanError(f"f_min_hz is too small: c / f_min_hz overflows, got {shown}")
+    # An int, a Fraction or a Decimal stays exact; any other real is its double.
+    exact = isinstance(f_min, (numbers.Rational, Decimal))
+    f_min = Fraction(f_min) if exact else Fraction(shown)
     if not isinstance(raw_segments, (list, tuple)):
         raise PlanError(f"segments must be a list, got {raw_segments!r}")
     if not raw_segments:
@@ -198,10 +207,18 @@ def validate_plan(raw: Mapping[str, Any]) -> FrequencyPlan:
 
 
 def load_plan(path: str | Path) -> FrequencyPlan:
-    """Read and validate a JSON plan file; PlanError if it cannot be read or parsed."""
+    """Read and validate a JSON plan file; PlanError if it cannot be read or parsed.
+
+    A fractional f_min_hz is read a second time, as a Decimal, so that 0.1 Hz
+    is exactly 1/10 Hz. Every other value is read, and quoted in errors, as
+    json reads it.
+    """
     try:
         with open(path, "rb") as fh:
-            raw = json.loads(fh.read().decode("utf-8"))
+            text = fh.read().decode("utf-8")
+        raw = json.loads(text)
+        if isinstance(raw, dict) and isinstance(raw.get("f_min_hz"), float):
+            raw["f_min_hz"] = json.loads(text, parse_float=Decimal)["f_min_hz"]
     except (OSError, ValueError, RecursionError) as exc:
         raise PlanError(f"cannot read plan file {path}: {exc}") from exc
     return validate_plan(raw)

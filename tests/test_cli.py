@@ -79,6 +79,8 @@ GENERATED_PLANS = {
     "f_min_tiny": one_segment(5, 4, f_min_hz=1e-310),
     # k * f_min overflows a double to inf: the UD used to print as 0.0.
     "f_min_huge": one_segment(2**62, 2, f_min_hz=1e300),
+    # 0.1 Hz used to enter the UD as the double nearest 1/10.
+    "f_min_tenth": one_segment(1, 10, f_min_hz=0.1),
 }
 
 
@@ -215,6 +217,11 @@ PINNED = {
         "ud --plan {f_min_huge} --indices 4611686018427387904", 0,
         "indices = 4611686018427387904\ngcd = 4611686018427387904\n"
         "ud_m = 6.5007126851674e-311\nis_max = false\n", "",
+    ),
+    "ud_f_min_decimal": (
+        "ud --plan {f_min_tenth} --indices 3,6", 0,
+        "indices = 3,6\ngcd = 3\nud_m = 999308193.3333334\n"
+        "ud_km = 999308.1933333334\nis_max = false\n", "",
     ),
     "ud_overlapping_segments": (
         "ud --plan {overlap} --indices 10", 2, "",
@@ -393,6 +400,11 @@ PINNED = {
         "prob --plan {L1} -m 3 --methods exact,bogus", 2, "",
         argparse_error("prob", "unknown method 'bogus'"),
     ),
+    # The plan file is missing: the refusal comes before the plan loads.
+    "prob_methods_repeated": (
+        "prob --plan {missing} -m 3 --methods exact,exact", 2, "",
+        argparse_error("prob", "repeated method 'exact'"),
+    ),
     "prob_out_unwritable": (
         "prob --plan {L1} -m 3 --out /nonexistent/x", 2, "",
         "error: [Errno 2] No such file or directory: '/nonexistent/x'\n",
@@ -519,6 +531,7 @@ BAD_ARGUMENT_ROWS = """
     sweep_seed_negative sweep_m_range_from_0 sweep_m_range_from_1 prob_out_unwritable
     ud_indices_and_select ud_neither_indices_nor_select prob_workers_0
     prob_workers_negative sweep_workers_0 sweep_workers_negative ud_select_above_cap
+    prob_methods_repeated
 """.split()
 BAD_ARGUMENT_IDS = [f"argv{i}-{PINNED[r][1]}" for i, r in enumerate(BAD_ARGUMENT_ROWS)]
 
@@ -658,6 +671,46 @@ class TestUdCommand:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: cannot read plan file {path}: ")
         assert err.count("\n") == 1
+
+    # Reading a fractional f_min_hz exactly refuses the same values, with the
+    # same bytes, and a float start_index is still quoted as a float.
+    @pytest.mark.parametrize(
+        "f_min, message",
+        [
+            ("true", "f_min_hz must be a number, got True"),
+            ('"1000"', "f_min_hz must be a number, got '1000'"),
+            ("NaN", "f_min_hz must be finite and positive, got nan"),
+            ("Infinity", "f_min_hz must be finite and positive, got inf"),
+            ("1e999", "f_min_hz must be finite and positive, got inf"),
+            ("0", "f_min_hz must be finite and positive, got 0.0"),
+            ("0.0", "f_min_hz must be finite and positive, got 0.0"),
+            ("-5", "f_min_hz must be finite and positive, got -5.0"),
+            ("-0.1", "f_min_hz must be finite and positive, got -0.1"),
+            ("1e-310", "f_min_hz is too small: c / f_min_hz overflows, got 1e-310"),
+            ("2.5e-324", "f_min_hz is too small: c / f_min_hz overflows, got 5e-324"),
+            # The exact c / f_min rounds to a finite double; c / its double does not.
+            (
+                "1.6676509031835454e-300",
+                "f_min_hz is too small: c / f_min_hz overflows, "
+                "got 1.6676509031835453e-300",
+            ),
+        ],
+    )
+    def test_refused_f_min_keeps_its_message(self, f_min, message, tmp_path):
+        path = tmp_path / "plan.json"
+        path.write_text(
+            f'{{"f_min_hz": {f_min}, "segments": [{{"start_index": 5, "count": 4}}]}}'
+        )
+        assert run_main(["ud", "--plan", str(path), "--indices", "5"]) == (
+            2, "", f"error: {message}\n"
+        )
+
+    def test_float_start_index_beside_decimal_f_min(self, tmp_path):
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(one_segment(5.9, 4, f_min_hz=0.1)))
+        assert run_main(["ud", "--plan", str(path), "--indices", "5"]) == (
+            2, "", "error: segment 0: start_index must be an integer, got 5.9\n"
+        )
 
 
 class TestProbCommand:

@@ -12,7 +12,7 @@ from udrange.ranging import (
     phase_shifts,
     verify_ambiguity,
 )
-from udrange.spectrum import sample_selection_batch
+from udrange.spectrum import load_plan, sample_selection_batch
 
 from .conftest import make_plan
 from .oracles import circular_delta, setwise_coprime_scan
@@ -48,6 +48,17 @@ class TestComputeUd:
             rs = compute_ud(PLAN, scaled)
             assert rs.gcd_k == d * rb.gcd_k
             assert rs.ud * d == rb.ud
+
+    def test_decimal_f_min_from_a_plan_file_is_exact(self, tmp_path):
+        # Fraction(0.1) is the double nearest 1/10, not 1/10.
+        path = tmp_path / "plan.json"
+        path.write_text(
+            '{"f_min_hz": 0.1, "segments": [{"start_index": 1, "count": 10}]}'
+        )
+        plan = load_plan(path)
+        ud = compute_ud(plan, (3, 6)).ud
+        assert ud == Fraction(SPEED_OF_LIGHT_M_S) / (3 * Fraction("0.1"))
+        assert verify_ambiguity(plan, (3, 6), ud)
 
     def test_is_max_iff_setwise_coprime(self):
         rng = np.random.default_rng(17)

@@ -1,5 +1,7 @@
 import math
 import time
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -117,6 +119,9 @@ class TestValidatePlan:
     def test_accepts_integer_and_float_f_min(self):
         for f_min in (1000, 1000.0, 2.5):
             assert make_plan([(5, 1)], f_min_hz=f_min).f_min_hz == float(f_min)
+
+    def test_keeps_decimal_f_min_exact(self):
+        assert make_plan([(5, 1)], f_min_hz=Decimal("0.1")).f_min_hz == Fraction(1, 10)
 
     def test_normalizes_segment_order(self):
         plan = validate_plan(
