@@ -1,20 +1,20 @@
 """Desk-scale built-in checks behind the `verify` CLI command.
 
 ``run_checks`` names every check once, in run order, beside what it compares
-against; each check returns whether it passed and a detail line.
+against; each check returns whether it passed and a detail line, and
+``run_checks`` returns them as (name, passed, detail) tuples.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from typing import Callable
 
 from . import fig1
 from .numtheory import gcd_all, mertens_at_quotients, sieve_mobius, zeta_int
-from .estimator import prob_asymptotic, prob_exact
+from .estimator import prob_asymptotic, prob_exact, prob_montecarlo
 from .ranging import verify_ambiguity
 from .spectrum import FrequencyPlan, Segment, enumerate_indices, sample_selection_batch
 
@@ -27,13 +27,6 @@ def coprime_fraction_by_enumeration(plan: FrequencyPlan, m: int) -> Fraction:
     grids = np.meshgrid(*([arr] * m), indexing="ij")
     g = reduce(np.gcd, grids)
     return Fraction(int(np.count_nonzero(g == 1)), arr.size**m)
-
-
-@dataclass
-class CheckResult:
-    name: str
-    ok: bool
-    detail: str
 
 
 Check = tuple[bool, str]
@@ -121,7 +114,23 @@ def _check_asymptotic_gap(plan: FrequencyPlan) -> Check:
     return worst <= 0.01, f"max gap = {worst:.2e}"
 
 
-def run_checks(quick: bool = False) -> list[CheckResult]:
+def _check_montecarlo(plans: tuple[FrequencyPlan, ...]) -> Check:
+    ms = (*range(3, 14), 20, 40)
+    for plan in plans:
+        for m in ms:
+            exact = prob_exact(plan, m).value
+            mc = prob_montecarlo(plan, m, 65_536, (2014, plan.n_segments, m))
+            lo, hi = mc.wilson_bounds(4.0)
+            if not lo <= exact <= hi:
+                return False, (
+                    f"L = {plan.n_segments}, M = {m}: exact {exact:.6f} "
+                    f"outside [{lo:.6f}, {hi:.6f}]"
+                )
+    n_points = len(plans) * len(ms)
+    return True, f"exact P inside the z = 4 Wilson interval at {n_points} points"
+
+
+def run_checks(quick: bool = False) -> list[tuple[str, bool, str]]:
     """Run every check, or with quick only the fast subset, in a fixed order."""
     checks: list[tuple[str, Callable[[], Check]]] = [
         # The sieved mu against Mobius inversion, up to 2,000 or 10,000.
@@ -136,7 +145,7 @@ def run_checks(quick: bool = False) -> list[CheckResult]:
         ("phase_periodicity", _check_periodicity),
     ]
     if not quick:
-        plans = fig1.all_plans()  # built once: L = 1's weights serve two checks
+        plans = fig1.all_plans()  # built once: their weights serve three checks
         checks += [
             # mertens_at_quotients([10**n]) against OEIS A084237 for n = 1..8,
             # values that the loop above the sieve fills.
@@ -145,5 +154,9 @@ def run_checks(quick: bool = False) -> list[CheckResult]:
             ("l_independence", lambda: _check_l_independence(plans)),
             # Exact P against 1/zeta(M) on the L = 1 plan; gap <= 0.01.
             ("asymptotic_gap", lambda: _check_asymptotic_gap(plans[0])),
+            # Exact P against seeded Monte Carlo, 65,536 trials at each
+            # L = 1, 7, 12 and M = 3..13, 20, 40: inside the z = 4 Wilson
+            # interval, which, unlike the Wald bar, is not a point at P = 1.
+            ("montecarlo_vs_exact", lambda: _check_montecarlo(plans)),
         ]
-    return [CheckResult(name, *check()) for name, check in checks]
+    return [(name, *check()) for name, check in checks]

@@ -28,7 +28,6 @@ import contextlib
 import json
 import sys
 
-from . import _selfcheck
 from .estimator import (
     CapabilityError,
     ProbabilityEstimate,
@@ -54,6 +53,7 @@ EXIT_CAPABILITY = 4
 
 METHODS = ("exact", "asymptotic", "monte_carlo")
 MAX_SELECT = 1_000_000  # ud --select draws and prints every index at once
+Z_95 = 1.959963984540054  # the normal quantile at 0.975, for the JSON's 95% bounds
 
 
 def _int_in(lo: int, hi: int | None = None):
@@ -93,25 +93,26 @@ def _open_out(out_path: str | None):
     return contextlib.nullcontext(sys.stdout)
 
 
-def _render_prob_json(m: int, estimates: list[ProbabilityEstimate]) -> str:
-    payload = {
-        "m": m,
-        "estimates": [
-            {
-                "method": e.method,
-                "value": e.value,
-                "trials": e.trials,
-                "std_error": e.std_error,
-                "exact_numerator": (
-                    None if e.exact_numerator is None else str(e.exact_numerator)
-                ),
-                "exact_denominator": (
-                    None if e.exact_denominator is None else str(e.exact_denominator)
-                ),
-            }
-            for e in estimates
-        ],
+def _estimate_json(e: ProbabilityEstimate) -> dict:
+    low, high = e.wilson_bounds(Z_95)
+    return {
+        "method": e.method,
+        "value": e.value,
+        "trials": e.trials,
+        "std_error": e.std_error,
+        "ci95_low": low,
+        "ci95_high": high,
+        "exact_numerator": (
+            None if e.exact_numerator is None else str(e.exact_numerator)
+        ),
+        "exact_denominator": (
+            None if e.exact_denominator is None else str(e.exact_denominator)
+        ),
     }
+
+
+def _render_prob_json(m: int, estimates: list[ProbabilityEstimate]) -> str:
+    payload = {"m": m, "estimates": [_estimate_json(e) for e in estimates]}
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
@@ -193,7 +194,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     plans = [load_plan(p) for p in args.plan]
     for plan in plans:  # the K cap does not depend on M; the digit cap grows with it
         check_exact_limits(plan, args.m_range[-1])
-    rows = []
+    rows, intervals = [], []
     with _open_out(args.out) as out:
         for plan_idx, plan in enumerate(plans):
             for m in args.m_range:
@@ -207,8 +208,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     (plan.n_segments, plan.n_frequencies, m, exact.value, asym.value,
                      mc.value, mc.std_error, args.trials, args.seed)
                 )
+                intervals.append(mc.wilson_bounds(Z_95))
         if args.format == "json":
-            payload = [dict(zip(SWEEP_COLUMNS, row)) for row in rows]
+            payload = [
+                {**dict(zip(SWEEP_COLUMNS, row)),
+                 "P_mc_ci95_low": low, "P_mc_ci95_high": high}
+                for row, (low, high) in zip(rows, intervals)
+            ]
             text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
         else:
             lines = [",".join(SWEEP_COLUMNS)] + [
@@ -221,12 +227,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import _selfcheck  # only verify loads the checks and the Fig. 1 plans
+
     results = _selfcheck.run_checks(quick=args.quick)
-    for r in results:
-        status = "PASS" if r.ok else "FAIL"
-        detail = f": {r.detail}" if r.detail else ""
-        print(f"{status} {r.name}{detail}")
-    return EXIT_OK if all(r.ok for r in results) else EXIT_VERIFY_FAILED
+    for name, ok, detail in results:
+        status = "PASS" if ok else "FAIL"
+        print(f"{status} {name}: {detail}" if detail else f"{status} {name}")
+    return EXIT_OK if all(ok for _, ok, _ in results) else EXIT_VERIFY_FAILED
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -29,7 +29,8 @@ class CapabilityError(RuntimeError):
 @dataclass(frozen=True)
 class ProbabilityEstimate:
     """A value of P with its method tag and, for Monte Carlo, its trial count,
-    from which the Wald error bar std_error is derived (0.0 with no trials)."""
+    from which the Wald error bar std_error and the Wilson bounds are derived
+    (0.0 and (value, value) with no trials)."""
 
     value: float
     method: str  # exact | asymptotic | monte_carlo
@@ -40,6 +41,31 @@ class ProbabilityEstimate:
     @property
     def std_error(self) -> float:
         return sqrt(self.value * (1.0 - self.value) / self.trials) if self.trials else 0.0
+
+    def wilson_bounds(self, z: float) -> tuple[float, float]:
+        """Wilson score bounds at z standard errors, clamped to [0, 1].
+
+        Unlike the Wald bar value +- z * std_error, which shrinks to a point
+        at 0 and 1, the interval keeps a width of about z^2 / trials there
+        (Wilson, JASA 22, 1927; Brown, Cai & DasGupta, Stat. Sci. 16, 2001).
+        The bounds always bracket value, which rounding alone could break
+        at value 0 or 1.
+        """
+        if not self.trials:
+            return self.value, self.value
+        p, n, z2 = self.value, self.trials, z * z
+        scale = 1.0 + z2 / n
+        centre = (p + z2 / (2 * n)) / scale
+        half = z * sqrt(p * (1.0 - p) / n + z2 / (4 * n * n)) / scale
+        return max(0.0, min(p, centre - half)), min(1.0, max(p, centre + half))
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS reports
+    one (a taskset or cpuset shrinks it), else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def check_exact_limits(plan: FrequencyPlan, m: int) -> None:
@@ -105,7 +131,7 @@ def prob_montecarlo(
     bit-identical for any worker count. A block folds one drawn column at a
     time into a running gcd and drops the rows that reach 1, so its memory
     does not grow with M; if the whole index set has a gcd above 1, P = 0
-    is returned without a draw. Each of T = min(workers, blocks, CPU count)
+    is returned without a draw. Each of T = min(workers, blocks, usable CPUs)
     threads runs one pool task, blocks i, i + T, i + 2T, ..., so the pool
     holds T futures whatever ``trials`` is; integer hit counts sum the same
     in any order.
@@ -139,7 +165,7 @@ def prob_montecarlo(
             g = np.gcd(g, sample_selection_batch(plan, g.size, rng))
         return n - int(np.count_nonzero(g > 1))
 
-    threads = min(workers, n_blocks, os.cpu_count() or 1)
+    threads = min(workers, n_blocks, _usable_cpus())
 
     def stride_hits(i: int) -> int:
         return sum(map(block_hits, range(i, n_blocks, threads)))

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from udrange import MobiusTable, _selfcheck, cli, fig1, sieve_mobius
-from udrange.estimator import EXACT_MAX_INDEX
+from udrange.estimator import EXACT_MAX_INDEX, ProbabilityEstimate
 from udrange.numtheory import mertens_at_quotients
 
 from .conftest import PLAN_DIR, REPO_ROOT, make_plan, run_main
@@ -131,6 +131,8 @@ EXACT_AND_ASYMPTOTIC_JSON = """\
 {
   "estimates": [
     {
+      "ci95_high": 0.99987730145976,
+      "ci95_low": 0.99987730145976,
       "exact_denominator": "50216813883093446110686315385661331328818843555712276103168",
       "exact_numerator": "50210652353334486238729142782947257030387323322660624343570",
       "method": "exact",
@@ -139,6 +141,8 @@ EXACT_AND_ASYMPTOTIC_JSON = """\
       "value": 0.99987730145976
     },
     {
+      "ci95_high": 0.9998773017090384,
+      "ci95_low": 0.9998773017090384,
       "exact_denominator": null,
       "exact_numerator": null,
       "method": "asymptotic",
@@ -155,6 +159,8 @@ ASYMPTOTIC_JSON = """\
 {
   "estimates": [
     {
+      "ci95_high": 0.9990064130688554,
+      "ci95_low": 0.9990064130688554,
       "exact_denominator": null,
       "exact_numerator": null,
       "method": "asymptotic",
@@ -192,6 +198,7 @@ PASS phase_periodicity
 PASS mertens_known_values: M(10^n) matches OEIS A084237 for n = 1..8
 PASS l_independence: max spread over L = 8.52e-05
 PASS asymptotic_gap: max gap = 2.13e-06
+PASS montecarlo_vs_exact: exact P inside the z = 4 Wilson interval at 39 points
 """
 
 # The CLI's contract, run in-process: id -> (argv, exit code, stdout, stderr),
@@ -755,6 +762,8 @@ class TestSweepCommand:
         assert sorted({r["L"] for r in rows}) == [1, 7, 12]
         for r in rows:
             assert abs(r["P_mc"] - r["P_asymptotic"]) < max(0.02, 6 * r["stderr"])
+            assert r["P_mc_ci95_low"] <= r["P_mc"] <= r["P_mc_ci95_high"]
+            assert r["P_mc_ci95_low"] < r["P_mc_ci95_high"]
 
     def test_exact_column_matches_enumeration(self, tmp_path):
         path = tmp_path / "plan.json"
@@ -804,6 +813,15 @@ class TestVerifyCommand:
         for name in ("all_plans", "make_plan"):
             monkeypatch.setattr(fig1, name, no_plan)
         assert run_main(["verify", "--quick"]) == (0, VERIFY_QUICK, "")
+
+    def test_wrong_monte_carlo_estimate_fails(self, monkeypatch):
+        def far_off(plan, m, trials, seed):
+            return ProbabilityEstimate(value=0.5, method="monte_carlo", trials=trials)
+
+        monkeypatch.setattr(_selfcheck, "prob_montecarlo", far_off)
+        code, out, _ = run_main(["verify"])
+        assert code == 1
+        assert "FAIL montecarlo_vs_exact: L = 1, M = 3: exact 0.831905 outside" in out
 
     def test_wrong_mertens_value_fails(self, monkeypatch):
         def off_by_one(ends):

@@ -28,17 +28,17 @@ def test_one_speed_of_light():
     assert ranging.SPEED_OF_LIGHT_M_S is spectrum.SPEED_OF_LIGHT_M_S
 
 
+# Modules that `import udrange.cli` must leave unloaded: ud --indices,
+# asymptotic prob and every argument or plan error use no arrays and no thread
+# pool, and only verify runs the self-checks and builds the Fig. 1 plans.
+LAZY_MODULES = ("numpy", "concurrent.futures", "udrange._selfcheck", "udrange.fig1")
+
+
 def test_import_leaves_numpy_unloaded():
-    # ud --indices, asymptotic prob and every argument or plan error use no
-    # arrays and no thread pool, so a fresh `udrange` process must not pay
-    # for importing numpy or concurrent.futures.
-    code = (
-        "import sys, udrange.cli; "
-        'print("numpy" in sys.modules, "concurrent.futures" in sys.modules)'
-    )
+    code = f"import sys, udrange.cli; print([m in sys.modules for m in {LAZY_MODULES}])"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False False\n"
+    assert proc.stdout == f"{[False] * len(LAZY_MODULES)}\n"
 
 
 def test_sources_parse_with_python_3_10_grammar():
