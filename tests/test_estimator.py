@@ -252,45 +252,6 @@ class TestProbMonteCarlo:
         monkeypatch.delattr(estimator.os, "sched_getaffinity")
         assert estimator._usable_cpus() == 64
 
-
-class TestWilsonBounds:
-    Z = 1.959963984540054
-
-    def test_all_hits_is_not_a_point(self):
-        # Every trial a hit: the Wald bar is 0, the Wilson interval is not.
-        e = ProbabilityEstimate(value=1.0, method="monte_carlo", trials=100_000)
-        low, high = e.wilson_bounds(self.Z)
-        assert e.std_error == 0.0
-        assert high == 1.0
-        assert low == pytest.approx(1 / (1 + self.Z**2 / 100_000), rel=1e-12)
-        assert round(low, 8) == 0.99996159
-
-    def test_no_hits_is_not_a_point(self):
-        e = ProbabilityEstimate(value=0.0, method="monte_carlo", trials=4_096)
-        low, high = e.wilson_bounds(self.Z)
-        assert low == 0.0
-        assert high == pytest.approx(self.Z**2 / (4_096 + self.Z**2), rel=1e-12)
-
-    @pytest.mark.parametrize("trials", [1, 7, 2_000, 65_536, 10**9])
-    def test_bounds_bracket_zero_and_one(self, trials):
-        for p in (0.0, 1.0):
-            e = ProbabilityEstimate(value=p, method="monte_carlo", trials=trials)
-            low, high = e.wilson_bounds(self.Z)
-            assert 0.0 <= low <= p <= high <= 1.0
-            assert low < high
-
-    @pytest.mark.parametrize("hits, trials", [(1, 10), (5_000, 10_000), (812, 1_000)])
-    def test_score_equation(self, hits, trials):
-        # Each bound solves (p - b)^2 = z^2 b (1 - b) / n, and brackets p.
-        p = hits / trials
-        low, high = ProbabilityEstimate(p, "monte_carlo", trials).wilson_bounds(self.Z)
-        assert low < p < high
-        for b in (low, high):
-            assert (p - b) ** 2 == pytest.approx(self.Z**2 * b * (1 - b) / trials)
-
-    def test_without_trials_is_the_value(self):
-        assert prob_asymptotic(5).wilson_bounds(self.Z) == (prob_asymptotic(5).value,) * 2
-
     @pytest.mark.parametrize("seed", [-1, (2014, -1)])
     def test_rejects_negative_seed(self, fig1_plan_l1, seed):
         message = f"seed must be non-negative, got {seed}"
@@ -381,3 +342,42 @@ class TestWilsonBounds:
         estimate = prob_montecarlo(plan, 3, 200_000, seed=0, workers=2)
         assert estimate.value == estimate.std_error == 0.0
         assert estimate.trials == 200_000
+
+
+class TestWilsonBounds:
+    Z = 1.959963984540054
+
+    def test_all_hits_is_not_a_point(self):
+        # Every trial a hit: the Wald bar is 0, the Wilson interval is not.
+        e = ProbabilityEstimate(value=1.0, method="monte_carlo", trials=100_000)
+        low, high = e.wilson_bounds(self.Z)
+        assert e.std_error == 0.0
+        assert high == 1.0
+        assert low == pytest.approx(1 / (1 + self.Z**2 / 100_000), rel=1e-12)
+        assert round(low, 8) == 0.99996159
+
+    def test_no_hits_is_not_a_point(self):
+        e = ProbabilityEstimate(value=0.0, method="monte_carlo", trials=4_096)
+        low, high = e.wilson_bounds(self.Z)
+        assert low == 0.0
+        assert high == pytest.approx(self.Z**2 / (4_096 + self.Z**2), rel=1e-12)
+
+    @pytest.mark.parametrize("trials", [1, 7, 2_000, 65_536, 10**9])
+    def test_bounds_bracket_zero_and_one(self, trials):
+        for p in (0.0, 1.0):
+            e = ProbabilityEstimate(value=p, method="monte_carlo", trials=trials)
+            low, high = e.wilson_bounds(self.Z)
+            assert 0.0 <= low <= p <= high <= 1.0
+            assert low < high
+
+    @pytest.mark.parametrize("hits, trials", [(1, 10), (5_000, 10_000), (812, 1_000)])
+    def test_score_equation(self, hits, trials):
+        # Each bound solves (p - b)^2 = z^2 b (1 - b) / n, and brackets p.
+        p = hits / trials
+        low, high = ProbabilityEstimate(p, "monte_carlo", trials).wilson_bounds(self.Z)
+        assert low < p < high
+        for b in (low, high):
+            assert (p - b) ** 2 == pytest.approx(self.Z**2 * b * (1 - b) / trials)
+
+    def test_without_trials_is_the_value(self):
+        assert prob_asymptotic(5).wilson_bounds(self.Z) == (prob_asymptotic(5).value,) * 2
