@@ -8,7 +8,8 @@ Library layout:
 - ``ranging`` — phase-shift model and UD = c / (gcd * f_min)
 - ``estimator`` — exact / asymptotic / Monte Carlo probability of maximal UD
 - ``cli`` — `udrange` command-line driver and the (plan, M) sweep table
-- ``fig1`` — bundled 54-862 MHz, N = 2^15 simulation scenarios
+- ``_selfcheck`` — the checks behind `udrange verify`, and the 54-862 MHz,
+  N = 2^15 Fig. 1 scenarios they build; loaded only when `verify` runs
 """
 
 from .estimator import (
@@ -17,7 +18,7 @@ from .estimator import (
     prob_exact,
     prob_montecarlo,
 )
-from .numtheory import MobiusTable, gcd_all, sieve_mobius, zeta_int
+from .numtheory import gcd_all, zeta_int
 from .ranging import (
     SPEED_OF_LIGHT_M_S,
     UdResult,
@@ -30,7 +31,6 @@ from .spectrum import (
     PlanError,
     Segment,
     SelectionError,
-    enumerate_indices,
     load_plan,
     selection_from_indices,
     validate_plan,
@@ -38,7 +38,6 @@ from .spectrum import (
 
 __all__ = [
     "FrequencyPlan",
-    "MobiusTable",
     "PlanError",
     "ProbabilityEstimate",
     "SPEED_OF_LIGHT_M_S",
@@ -46,7 +45,6 @@ __all__ = [
     "SelectionError",
     "UdResult",
     "compute_ud",
-    "enumerate_indices",
     "gcd_all",
     "load_plan",
     "phase_shifts",
@@ -54,7 +52,6 @@ __all__ = [
     "prob_exact",
     "prob_montecarlo",
     "selection_from_indices",
-    "sieve_mobius",
     "validate_plan",
     "verify_ambiguity",
     "zeta_int",

@@ -3,6 +3,13 @@
 ``run_checks`` names every check once, in run order, beside what it compares
 against; each check returns whether it passed and a detail line, and
 ``run_checks`` returns them as (name, passed, detail) tuples.
+
+The full run also builds the paper's Fig. 1 scenarios, N = 2^15 frequencies
+in 54-862 MHz at f_min = 1 kHz, which ``plans/fig1_L{1,7,12}.json`` hold. The
+segment boundaries for the multi-segment scenarios are our own construction:
+L near-equal-count segments spread evenly across the band. For these long
+segments the coprimality probability barely moves with L, as the
+L-independence check validates; many short segments need not (README).
 """
 
 from __future__ import annotations
@@ -12,18 +19,41 @@ from fractions import Fraction
 from functools import reduce
 from typing import Callable
 
-from . import fig1
 from .numtheory import gcd_all, mertens_at_quotients, sieve_mobius, zeta_int
 from .estimator import prob_asymptotic, prob_exact, prob_montecarlo
 from .ranging import verify_ambiguity
-from .spectrum import FrequencyPlan, Segment, enumerate_indices, sample_selection_batch
+from .spectrum import FrequencyPlan, Segment, sample_selection_batch, validate_plan
+
+F_MIN_HZ = 1000.0
+BAND_FIRST_INDEX = 54_000  # 54 MHz on the 1 kHz grid
+BAND_LAST_INDEX = 862_000  # 862 MHz
+N_TOTAL = 2**15
+SEGMENT_COUNTS = (1, 7, 12)
+
+
+def make_plan(n_segments: int) -> FrequencyPlan:
+    """Evenly spread n_segments near-equal-count segments across the band."""
+    base, rem = divmod(N_TOTAL, n_segments)
+    counts = [base + 1 if l < rem else base for l in range(n_segments)]
+    gap = ((BAND_LAST_INDEX - BAND_FIRST_INDEX + 1) - N_TOTAL) // n_segments
+    segments = []
+    start = BAND_FIRST_INDEX
+    for count in counts:
+        segments.append({"start_index": start, "count": count})
+        start += count + gap
+    return validate_plan({"f_min_hz": F_MIN_HZ, "segments": segments})
+
+
+def all_plans() -> tuple[FrequencyPlan, ...]:
+    """The three Fig. 1 scenarios, L = 1, 7, 12."""
+    return tuple(make_plan(L) for L in SEGMENT_COUNTS)
 
 
 def coprime_fraction_by_enumeration(plan: FrequencyPlan, m: int) -> Fraction:
     """Exhaustive count of setwise-coprime ordered m-tuples over the index set."""
     import numpy as np
 
-    arr = np.fromiter(enumerate_indices(plan), dtype=np.int64)
+    arr = np.concatenate([np.arange(s.start, s.end + 1) for s in plan.segments])
     grids = np.meshgrid(*([arr] * m), indexing="ij")
     g = reduce(np.gcd, grids)
     return Fraction(int(np.count_nonzero(g == 1)), arr.size**m)
@@ -145,7 +175,7 @@ def run_checks(quick: bool = False) -> list[tuple[str, bool, str]]:
         ("phase_periodicity", _check_periodicity),
     ]
     if not quick:
-        plans = fig1.all_plans()  # built once: their weights serve three checks
+        plans = all_plans()  # built once: their weights serve three checks
         checks += [
             # mertens_at_quotients([10**n]) against OEIS A084237 for n = 1..8,
             # values that the loop above the sieve fills.

@@ -54,6 +54,12 @@ EXIT_CAPABILITY = 4
 METHODS = ("exact", "asymptotic", "monte_carlo")
 MAX_SELECT = 1_000_000  # ud --select draws and prints every index at once
 Z_95 = 1.959963984540054  # the normal quantile at 0.975, for the JSON's 95% bounds
+# Printed once to stderr by every run that reports 1/zeta(2): prob's asymptotic
+# method at -m 2, and sweep when its M range starts at 2.
+M2_WARNING = (
+    "warning: m = 2 is outside the asymptotic error analysis regime (it assumes "
+    "more than 2 frequencies); 1/zeta(2) is still exact as a limit value"
+)
 
 
 def _int_in(lo: int, hi: int | None = None):
@@ -158,12 +164,7 @@ def cmd_prob(args: argparse.Namespace) -> int:
 
     with _open_out(args.out) as out:
         if "asymptotic" in methods and args.m == 2:
-            print(
-                "warning: m = 2 is outside the asymptotic error analysis regime "
-                "(it assumes more than 2 frequencies); 1/zeta(2) is still exact "
-                "as a limit value",
-                file=sys.stderr,
-            )
+            print(M2_WARNING, file=sys.stderr)
         estimates = [
             prob_exact(plan, args.m) if method == "exact"
             else prob_asymptotic(args.m) if method == "asymptotic"
@@ -196,6 +197,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         check_exact_limits(plan, args.m_range[-1])
     rows, intervals = [], []
     with _open_out(args.out) as out:
+        if args.m_range[0] == 2:
+            print(M2_WARNING, file=sys.stderr)
         for plan_idx, plan in enumerate(plans):
             for m in args.m_range:
                 exact = prob_exact(plan, m)

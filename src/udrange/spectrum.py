@@ -11,7 +11,7 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from .numtheory import mertens_at_quotients
 
@@ -237,12 +237,6 @@ def count_multiples_upto(plan: FrequencyPlan, j: np.ndarray) -> np.ndarray:
         x += s.end // j
         x -= (s.start - 1) // j
     return x
-
-
-def enumerate_indices(plan: FrequencyPlan) -> Iterator[int]:
-    """Yield all indices of the plan's set in ascending order."""
-    for s in plan.segments:
-        yield from range(s.start, s.end + 1)
 
 
 def sample_selection_batch(

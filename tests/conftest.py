@@ -10,9 +10,8 @@ from unittest import mock
 import pytest
 from hypothesis import strategies as st
 
-from udrange import fig1
 from udrange.cli import main
-from udrange.spectrum import FrequencyPlan, validate_plan
+from udrange.spectrum import FrequencyPlan, load_plan, validate_plan
 
 if TYPE_CHECKING:  # numpy stays unloaded, so a child that blocks it can import this
     import numpy as np
@@ -41,9 +40,15 @@ def run_main(argv: list[str], columns: int = 80) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def load_fig1_plan(n_segments: int) -> FrequencyPlan:
+    """A fresh load of the bundled Fig. 1 plan with n_segments segments."""
+    return load_plan(PLAN_DIR / f"fig1_L{n_segments}.json")
+
+
 @pytest.fixture(scope="session")
 def fig1_plans() -> tuple[FrequencyPlan, ...]:
-    return fig1.all_plans()
+    """The bundled L = 1, 7, 12 plans, as users run them."""
+    return tuple(load_fig1_plan(L) for L in (1, 7, 12))
 
 
 @pytest.fixture(scope="session")

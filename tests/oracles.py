@@ -16,7 +16,7 @@ import mpmath
 import numpy as np
 import sympy
 
-from udrange.spectrum import FrequencyPlan, enumerate_indices
+from udrange.spectrum import FrequencyPlan
 
 
 def mobius_ref(n: int) -> int:
@@ -37,13 +37,18 @@ def is_prime_trial_division(n: int) -> bool:
     return True
 
 
+def plan_indices(plan: FrequencyPlan) -> list[int]:
+    """Every index of the plan's set, in ascending order."""
+    return [k for s in plan.segments for k in range(s.start, s.end + 1)]
+
+
 def count_multiples_brute(plan: FrequencyPlan, j: int) -> int:
-    return sum(1 for k in enumerate_indices(plan) if k % j == 0)
+    return sum(1 for k in plan_indices(plan) if k % j == 0)
 
 
 def coprime_fraction_brute(plan: FrequencyPlan, m: int) -> Fraction:
     """Exact P by enumerating every ordered m-tuple of plan indices."""
-    indices = list(enumerate_indices(plan))
+    indices = plan_indices(plan)
     hits = 0
     for tup in itertools.product(indices, repeat=m):
         g = tup[0]

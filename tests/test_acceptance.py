@@ -11,7 +11,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from udrange import fig1
 from udrange.estimator import prob_asymptotic, prob_exact, prob_montecarlo
 from udrange.numtheory import sieve_mobius, zeta_int
 from udrange.ranging import compute_ud, phase_shifts

@@ -6,9 +6,9 @@ import sys
 
 import pytest
 
-from udrange import MobiusTable, _selfcheck, cli, fig1, sieve_mobius
+from udrange import _selfcheck, cli
 from udrange.estimator import EXACT_MAX_INDEX, ProbabilityEstimate
-from udrange.numtheory import mertens_at_quotients
+from udrange.numtheory import MobiusTable, mertens_at_quotients, sieve_mobius
 
 from .conftest import PLAN_DIR, REPO_ROOT, make_plan, run_main
 from .oracles import coprime_fraction_brute
@@ -445,6 +445,15 @@ PINNED = {
         "L,N,M,P_exact,P_asymptotic,P_mc,stderr,trials,seed\n"
         "1,4,3,0.8593750000,0.8319073726,0.8730000000,0.0105295299,1000,0\n", "",
     ),
+    # A range from M = 2 reports 1/zeta(2): the m = 2 warning prints once.
+    "sweep_m_range_from_2": (
+        "sweep --plan {tiny} --m-range 2..3 --trials 1000", 0,
+        "L,N,M,P_exact,P_asymptotic,P_mc,stderr,trials,seed\n"
+        "1,4,2,0.6875000000,0.6079271019,0.7110000000,0.0143345387,1000,0\n"
+        "1,4,3,0.8593750000,0.8319073726,0.8730000000,0.0105295299,1000,0\n",
+        "warning: m = 2 is outside the asymptotic error analysis regime (it assumes "
+        "more than 2 frequencies); 1/zeta(2) is still exact as a limit value\n",
+    ),
     **{
         f"sweep_empty_m_range_{lo}_{hi}_{fmt}": (
             f"sweep --plan {{tiny}} --m-range {lo}..{hi} --format {fmt}", 2, "",
@@ -811,7 +820,7 @@ class TestVerifyCommand:
             raise AssertionError("verify --quick built a Fig. 1 plan")
 
         for name in ("all_plans", "make_plan"):
-            monkeypatch.setattr(fig1, name, no_plan)
+            monkeypatch.setattr(_selfcheck, name, no_plan)
         assert run_main(["verify", "--quick"]) == (0, VERIFY_QUICK, "")
 
     def test_wrong_monte_carlo_estimate_fails(self, monkeypatch):
@@ -851,7 +860,7 @@ class TestBundledPlans:
             path = PLAN_DIR / f"fig1_L{L}.json"
             assert path.exists(), f"missing bundled plan {path}"
             raw = json.loads(path.read_text())
-            plan = fig1.make_plan(L)
+            plan = _selfcheck.make_plan(L)
             assert raw == {
                 "f_min_hz": plan.f_min_hz,
                 "segments": [
@@ -859,8 +868,8 @@ class TestBundledPlans:
                 ],
             }
 
-    def test_band_and_size_invariants(self):
-        for L, plan in zip((1, 7, 12), fig1.all_plans()):
+    def test_band_and_size_invariants(self, fig1_plans):
+        for L, plan in zip((1, 7, 12), fig1_plans):
             assert plan.n_segments == L
             assert plan.n_frequencies == 2**15
             assert plan.f_min_hz == 1000.0

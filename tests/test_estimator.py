@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from udrange import estimator, fig1
+from udrange import estimator
 from udrange.estimator import (
     EXACT_MAX_BITS,
     EXACT_MAX_INDEX,
@@ -23,7 +23,7 @@ from udrange.estimator import (
 )
 from udrange.spectrum import FrequencyPlan, sample_selection_batch
 
-from .conftest import make_plan, small_plans
+from .conftest import load_fig1_plan, make_plan, small_plans
 from .oracles import coprime_fraction_brute, coprimality_weights_ref, zeta_ref
 
 
@@ -228,7 +228,7 @@ class TestProbMonteCarlo:
     def test_worker_count_does_not_change_result(self):
         # A fresh plan, drawn from in parallel first: its sampler layout is
         # first built inside the thread pool, perhaps by two threads at once.
-        plan = fig1.make_plan(1)
+        plan = load_fig1_plan(1)
         parallel = prob_montecarlo(plan, 4, 200_000, seed=3, workers=8)
         serial = prob_montecarlo(plan, 4, 200_000, seed=3, workers=1)
         assert serial == parallel
@@ -316,10 +316,10 @@ class TestProbMonteCarlo:
     @pytest.mark.parametrize(
         "plan, m, trials, seed, hits",
         [
-            (fig1.make_plan(1), 3, 140_000, 2026, 116_518),
-            (fig1.make_plan(1), 13, 140_000, 2026, 139_985),
-            (fig1.make_plan(12), 3, 140_000, 2026, 116_655),
-            (fig1.make_plan(12), 13, 140_000, 2026, 139_976),
+            (load_fig1_plan(1), 3, 140_000, 2026, 116_518),
+            (load_fig1_plan(1), 13, 140_000, 2026, 139_985),
+            (load_fig1_plan(12), 3, 140_000, 2026, 116_655),
+            (load_fig1_plan(12), 13, 140_000, 2026, 139_976),
             (FORTY_SEGMENTS, 2, 70_000, 11, 52_417),
             (FORTY_SEGMENTS, 5, 70_000, 11, 69_391),
             (PAST_INT32, 3, 70_000, 13, 58_258),

@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -8,8 +9,12 @@ from udrange import ranging, spectrum
 
 # A selection is a plain tuple[int, ...] and phase_shifts returns a
 # tuple[float, ...]; no wrapper type for either is exported, and selections
-# are drawn with sample_selection_batch alone.
-REMOVED = ("Selection", "PhaseVector", "sample_selection")
+# are drawn with sample_selection_batch alone. enumerate_indices is gone, and
+# the sieve stays in udrange.numtheory, unexported.
+REMOVED = (
+    "Selection", "PhaseVector", "sample_selection", "enumerate_indices",
+    "MobiusTable", "sieve_mobius",
+)
 
 
 def test_all_names_resolve():
@@ -23,6 +28,11 @@ def test_removed_names_are_not_exported():
         assert not hasattr(udrange, name)
 
 
+def test_fig1_module_is_gone():
+    # verify's own module, _selfcheck, builds the Fig. 1 plans.
+    assert importlib.util.find_spec("udrange.fig1") is None
+
+
 def test_one_speed_of_light():
     assert udrange.SPEED_OF_LIGHT_M_S is ranging.SPEED_OF_LIGHT_M_S
     assert ranging.SPEED_OF_LIGHT_M_S is spectrum.SPEED_OF_LIGHT_M_S
@@ -31,7 +41,7 @@ def test_one_speed_of_light():
 # Modules that `import udrange.cli` must leave unloaded: ud --indices,
 # asymptotic prob and every argument or plan error use no arrays and no thread
 # pool, and only verify runs the self-checks and builds the Fig. 1 plans.
-LAZY_MODULES = ("numpy", "concurrent.futures", "udrange._selfcheck", "udrange.fig1")
+LAZY_MODULES = ("numpy", "concurrent.futures", "udrange._selfcheck")
 
 
 def test_import_leaves_numpy_unloaded():
@@ -41,13 +51,78 @@ def test_import_leaves_numpy_unloaded():
     assert proc.stdout == f"{[False] * len(LAZY_MODULES)}\n"
 
 
-def test_sources_parse_with_python_3_10_grammar():
-    """Every .py file under src/, tests/ and scripts/ parses with Python
-    3.10's grammar, the oldest that pyproject.toml allows: this rejects
-    3.11 syntax such as ``except*``. It checks grammar only, not stdlib
-    names that are new in 3.11."""
+def source_paths() -> list[Path]:
+    """Every .py file under src/, tests/ and scripts/."""
     root = Path(__file__).resolve().parent.parent
     paths = sorted(p for d in ("src", "tests", "scripts") for p in (root / d).rglob("*.py"))
     assert paths
-    for path in paths:
+    return paths
+
+
+def test_sources_parse_with_python_3_10_grammar():
+    """Every source parses with Python 3.10's grammar, the oldest that
+    pyproject.toml allows: this rejects 3.11 syntax such as ``except*``.
+    It checks grammar only; the test below checks stdlib names."""
+    for path in source_paths():
         ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+
+
+# Stdlib names new in Python 3.11, which 3.10 lacks: a module, names looked up
+# in a module (by `from m import x` or `m.x`), and builtins.
+MODULES_NEW_IN_3_11 = ("tomllib",)
+NAMES_NEW_IN_3_11 = {
+    "typing": (
+        "Self", "Never", "LiteralString", "assert_never", "reveal_type",
+        "Required", "NotRequired",
+    ),
+    "enum": ("StrEnum",),
+    "datetime": ("UTC",),
+    "asyncio": ("TaskGroup", "timeout"),
+    "contextlib": ("chdir",),
+    "hashlib": ("file_digest",),
+    "operator": ("call",),
+    "math": ("cbrt", "exp2"),
+}
+BUILTINS_NEW_IN_3_11 = ("ExceptionGroup", "BaseExceptionGroup")
+
+
+def names_new_in_3_11(tree: ast.AST) -> list[str]:
+    """The names from the lists above that tree imports or uses."""
+    found, modules = [], {}  # modules: local name -> module it is bound to
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                modules[alias.asname or alias.name] = alias.name
+                if alias.name in MODULES_NEW_IN_3_11:
+                    found.append(alias.name)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module in MODULES_NEW_IN_3_11:
+                found.append(node.module)
+            for alias in node.names:
+                if alias.name in NAMES_NEW_IN_3_11.get(node.module, ()):
+                    found.append(f"{node.module}.{alias.name}")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            module = modules.get(node.value.id)
+            if node.attr in NAMES_NEW_IN_3_11.get(module, ()):
+                found.append(f"{module}.{node.attr}")
+        elif isinstance(node, ast.Name) and node.id in BUILTINS_NEW_IN_3_11:
+            found.append(node.id)
+    return found
+
+
+def test_sources_use_no_stdlib_names_new_in_3_11():
+    for path in source_paths():
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        assert names_new_in_3_11(tree) == [], path
+
+
+def test_new_stdlib_names_are_caught():
+    # The walker finds each kind of use; time.timeout is no asyncio name.
+    code = (
+        "import math, time, tomllib\nimport typing as t\nfrom enum import StrEnum\n"
+        "x: t.Self = math.cbrt(time.timeout)\nraise ExceptionGroup('', [])\n"
+    )
+    assert sorted(names_new_in_3_11(ast.parse(code))) == [
+        "ExceptionGroup", "enum.StrEnum", "math.cbrt", "tomllib", "typing.Self"
+    ]

@@ -13,7 +13,6 @@ from udrange.spectrum import (
     PlanError,
     SelectionError,
     count_multiples_upto,
-    enumerate_indices,
     sample_selection_batch,
     selection_from_indices,
     validate_plan,
@@ -171,20 +170,6 @@ class TestCountMultiples:
         plan = make_plan([(4, 6), (20, 3)])
         j = np.arange(plan.last_index + 1, plan.last_index + 50)
         assert not count_multiples_upto(plan, j).any()
-
-
-class TestEnumerateIndices:
-    def test_single_segment(self):
-        assert list(enumerate_indices(make_plan([(2, 3)]))) == [2, 3, 4]
-
-    def test_two_segments(self):
-        assert list(enumerate_indices(make_plan([(1, 2), (5, 2)]))) == [1, 2, 5, 6]
-
-    def test_band_head_and_count(self):
-        plan = make_plan([(54000, 32768)])
-        it = enumerate_indices(plan)
-        assert next(it) == 54000
-        assert sum(1 for _ in it) == 32767
 
 
 class TestSampling:
