@@ -27,6 +27,7 @@ import argparse
 import contextlib
 import json
 import sys
+from decimal import Decimal
 
 from .estimator import (
     CapabilityError,
@@ -99,6 +100,11 @@ def _open_out(out_path: str | None):
     return contextlib.nullcontext(sys.stdout)
 
 
+def _digits(n: int | None) -> str | None:
+    """n in decimal, through Decimal: int_max_str_digits limits str(int), not it."""
+    return None if n is None else str(Decimal(n))
+
+
 def _estimate_json(e: ProbabilityEstimate) -> dict:
     low, high = e.wilson_bounds(Z_95)
     return {
@@ -108,18 +114,9 @@ def _estimate_json(e: ProbabilityEstimate) -> dict:
         "std_error": e.std_error,
         "ci95_low": low,
         "ci95_high": high,
-        "exact_numerator": (
-            None if e.exact_numerator is None else str(e.exact_numerator)
-        ),
-        "exact_denominator": (
-            None if e.exact_denominator is None else str(e.exact_denominator)
-        ),
+        "exact_numerator": _digits(e.exact_numerator),
+        "exact_denominator": _digits(e.exact_denominator),
     }
-
-
-def _render_prob_json(m: int, estimates: list[ProbabilityEstimate]) -> str:
-    payload = {"m": m, "estimates": [_estimate_json(e) for e in estimates]}
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def cmd_ud(args: argparse.Namespace) -> int:
@@ -172,7 +169,8 @@ def cmd_prob(args: argparse.Namespace) -> int:
             for method in methods
         ]
         if args.format == "json":
-            out.write(_render_prob_json(args.m, estimates))
+            payload = {"m": args.m, "estimates": [_estimate_json(e) for e in estimates]}
+            out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         else:
             lines = [f"m = {args.m}"]
             for e in estimates:
@@ -180,7 +178,8 @@ def cmd_prob(args: argparse.Namespace) -> int:
                 if e.method == "monte_carlo":
                     line += f"  (trials={e.trials}, stderr={e.std_error:.2e})"
                 if e.method == "exact":
-                    line += f"  ({e.exact_numerator}/{e.exact_denominator})"
+                    num, den = _digits(e.exact_numerator), _digits(e.exact_denominator)
+                    line += f"  ({num}/{den})"
                 lines.append(line)
             out.write("\n".join(lines) + "\n")
     return EXIT_OK

@@ -16,14 +16,14 @@ from .numtheory import gcd_all, zeta_int
 from .spectrum import FrequencyPlan, sample_selection_batch
 
 EXACT_MAX_INDEX = 10_000_000  # bound on the largest plan index K for the exact method
-EXACT_MAX_BITS = 14_000  # bound on M * bit_length(N) for the exact method
+EXACT_MAX_BITS = 14_000  # bound on M * bit_length(N): the size of N^M and of the sum
 
 MC_BLOCK_SIZE = 65_536  # fixed so results never depend on worker count
 
 
 class CapabilityError(RuntimeError):
     """The plan's largest index exceeds EXACT_MAX_INDEX, the exact method's cap
-    on K, or N^M is too large for the exact big-integer sum to be printed."""
+    on K, or M * bit_length(N) exceeds EXACT_MAX_BITS, its cap on N^M."""
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,8 @@ def _usable_cpus() -> int:
 def check_exact_limits(plan: FrequencyPlan, m: int) -> None:
     """Raise CapabilityError if prob_exact(plan, m) passes either cap, in O(1):
     K above EXACT_MAX_INDEX, or M * bit_length(N) above EXACT_MAX_BITS, which
-    keeps N^M below 10^4215, inside the 4,300 digits Python prints by default."""
+    keeps N^M, and so the rational Z / N^M and the big-integer sum, below
+    10^4215; the CLI prints their digits whatever int_max_str_digits is."""
     if plan.last_index > EXACT_MAX_INDEX:
         raise CapabilityError(
             f"largest plan index {plan.last_index} exceeds the exact method's "

@@ -19,8 +19,11 @@ class MobiusTable:
     mu(j) and slot 0 is unused (kept zero so indices line up with j).
     """
 
-    limit: int
     values: np.ndarray
+
+    @property
+    def limit(self) -> int:
+        return len(self.values) - 1
 
 
 def sieve_mobius(limit: int) -> MobiusTable:
@@ -52,7 +55,7 @@ def sieve_mobius(limit: int) -> MobiusTable:
             mu[p * p :: p * p] = 0
             prod[p::p] *= p
     mu[prod < np.arange(limit + 1, dtype=np.int32)] *= -1
-    return MobiusTable(limit=limit, values=mu)
+    return MobiusTable(mu)
 
 
 def mertens_at_quotients(ends: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -135,8 +138,8 @@ def zeta_int(m: int) -> float:
 
 
 def gcd_all(values: Iterable[int] | Sequence[int]) -> int:
-    """GCD of a non-empty collection of positive integers."""
-    values = [int(v) for v in values]
+    """GCD of a non-empty collection of positive integers; a float raises TypeError."""
+    values = list(values)
     if not values:
         raise ValueError("gcd_all requires at least one value")
     for v in values:

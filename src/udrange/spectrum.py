@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from decimal import Decimal
@@ -155,6 +156,8 @@ def validate_plan(raw: Mapping[str, Any]) -> FrequencyPlan:
         shown = float(f_min)  # how the errors quote f_min
     except OverflowError:
         shown = math.inf
+    except ValueError:  # a signalling NaN Decimal
+        shown = math.nan
     if not 0 < shown < math.inf:
         raise PlanError(f"f_min_hz must be finite and positive, got {shown}")
     # Checked on the double, as before: the double nearest the bound on f_min
@@ -268,10 +271,10 @@ def sample_selection_batch(
 def selection_from_indices(
     plan: FrequencyPlan, indices: Sequence[int | str]
 ) -> tuple[int, ...]:
-    """The indices as ints, each checked against the plan's segments.
+    """The indices as ints, each found by bisection in the plan's sorted segments.
 
-    Raises SelectionError if empty, or for a non-integer or out-of-plan entry.
-    The segments are sorted and disjoint, so each index is found by bisection.
+    A string goes through int() and any other entry through operator.index, so
+    SelectionError refuses 54000.9 as it does no entries or an out-of-plan one.
     """
     if not indices:
         raise SelectionError("selection must contain at least one index")
@@ -279,8 +282,8 @@ def selection_from_indices(
     checked = []
     for k in indices:
         try:
-            k = int(k)
-        except ValueError:
+            k = int(k) if isinstance(k, str) else operator.index(k)
+        except (TypeError, ValueError):
             raise SelectionError(f"index {k!r} is not an integer") from None
         i = bisect_right(starts, k) - 1
         if i < 0 or k > plan.segments[i].end:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import resource
@@ -7,7 +8,7 @@ import sys
 import pytest
 
 from udrange import _selfcheck, cli
-from udrange.estimator import EXACT_MAX_INDEX, ProbabilityEstimate
+from udrange.estimator import EXACT_MAX_INDEX, ProbabilityEstimate, prob_exact
 from udrange.numtheory import MobiusTable, mertens_at_quotients, sieve_mobius
 
 from .conftest import PLAN_DIR, REPO_ROOT, make_plan, run_main
@@ -616,6 +617,26 @@ def test_memory_limited_run(row, pinned_paths):
         assert proc.stdout == out
 
 
+# Exact answers under CPython's smallest int_max_str_digits, 640, in a fresh
+# process: at M = 200 the L = 1 plan's N^M has 904 digits. Each run must print
+# the bytes of the same run without the limit.
+INT_DIGIT_LIMITED = {
+    "exact_m200": "prob --plan {L1} -m 200 --methods exact",
+    "exact_m200_json": "prob --plan {L1} -m 200 --methods exact --format json",
+}
+
+
+@pytest.mark.parametrize("row", INT_DIGIT_LIMITED)
+def test_exact_answer_under_int_digit_limit(row, pinned_paths):
+    argv = fill(INT_DIGIT_LIMITED[row], pinned_paths).split()
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+    unlimited = run_cli(argv, env=env)
+    limited = run_cli(argv, env={**env, "PYTHONINTMAXSTRDIGITS": "640"})
+    assert (unlimited.returncode, unlimited.stderr) == (0, "")
+    assert (limited.returncode, limited.stderr) == (0, "")
+    assert limited.stdout == unlimited.stdout
+
+
 # The child blocks numpy, so any numpy import raises ImportError, and prints
 # each run's (exit code, stdout, stderr) as JSON, or "ImportError" for a run
 # that needed numpy.
@@ -661,12 +682,6 @@ def test_array_free_commands_run_without_numpy(pinned_paths):
 
 
 class TestUdCommand:
-    def test_random_selection_deterministic(self, pinned_paths):
-        args = ["ud", "--plan", pinned_paths["L1"], "--select", "5", "--seed", "7"]
-        a, b = run_cli(args), run_cli(args)
-        assert a.returncode == b.returncode == 0
-        assert a.stdout == b.stdout
-
     # The messages come from Python's codec, JSON decoder and int-digit
     # limit, so only their first words are pinned.
     @pytest.mark.parametrize(
@@ -783,15 +798,6 @@ class TestSweepCommand:
         expected = coprime_fraction_brute(make_plan([(1, 100)]), 3)
         assert rows[0]["P_exact"] == pytest.approx(float(expected), abs=1e-15)
 
-    def test_byte_identical_across_runs_and_workers(self, pinned_paths):
-        base = ["sweep", "--plan", pinned_paths["L1"], "--m-range", "3..4"]
-        base += ["--trials", "140000", "--seed", "11"]
-        first = run_cli(base + ["--workers", "1"])
-        second = run_cli(base + ["--workers", "1"])
-        parallel = run_cli(base + ["--workers", "8"])
-        assert first.returncode == 0
-        assert first.stdout == second.stdout == parallel.stdout
-
     def test_reproduce_fig1_script_matches_sweep(self, tmp_path):
         script_csv, sweep_csv = tmp_path / "script.csv", tmp_path / "sweep.csv"
         script = REPO_ROOT / "scripts" / "reproduce_fig1.py"
@@ -806,6 +812,12 @@ class TestSweepCommand:
             argv += ["--plan", str(PLAN_DIR / f"fig1_L{L}.json")]
         assert run_main(argv + ["--out", str(sweep_csv)]) == (0, "", "")
         assert script_csv.read_bytes() == sweep_csv.read_bytes()
+
+
+def exact_numerator_plus_one(plan, m):
+    """prob_exact's estimate with its numerator one too large."""
+    e = prob_exact(plan, m)
+    return dataclasses.replace(e, exact_numerator=e.exact_numerator + 1)
 
 
 class TestVerifyCommand:
@@ -842,12 +854,37 @@ class TestVerifyCommand:
         assert code == 1
         assert "FAIL mertens_known_values: M(10^4) = -22, expected -23" in out
 
+    # A wrong gcd_all, prob_exact or verify_ambiguity fails its quick check,
+    # which names the first case that caught it.
+    @pytest.mark.parametrize(
+        "name, fake, line",
+        [
+            ("gcd_all", min, "FAIL gcd_known_values: gcd[54000, 54001] != 1"),
+            (
+                "prob_exact",
+                exact_numerator_plus_one,
+                "FAIL exact_vs_enumeration: plan (Segment(start=1, count=4),), m=2",
+            ),
+            (
+                "verify_ambiguity",
+                lambda plan, selection, distance_m: False,
+                "FAIL phase_periodicity: selection (60009, 54068, 60036, 54095)",
+            ),
+        ],
+        ids=["gcd_all", "prob_exact", "verify_ambiguity"],
+    )
+    def test_wrong_quick_check_function_fails(self, monkeypatch, name, fake, line):
+        monkeypatch.setattr(_selfcheck, name, fake)
+        code, out, _ = run_main(["verify", "--quick"])
+        assert code == 1
+        assert line in out.splitlines()
+
     @pytest.mark.parametrize("j", [1, 30, 1999])
     def test_flipped_sieve_sign_fails(self, monkeypatch, j):
         values = sieve_mobius(2000).values.copy()
         values[j] = -values[j]
         monkeypatch.setattr(
-            _selfcheck, "sieve_mobius", lambda limit: MobiusTable(limit, values)
+            _selfcheck, "sieve_mobius", lambda limit: MobiusTable(values)
         )
         code, out, _ = run_main(["verify", "--quick"])
         assert code == 1

@@ -82,6 +82,8 @@ NAMES_NEW_IN_3_11 = {
     "hashlib": ("file_digest",),
     "operator": ("call",),
     "math": ("cbrt", "exp2"),
+    # 3.10 has these only from 3.10.7, and pyproject.toml allows 3.10.0.
+    "sys": ("get_int_max_str_digits", "set_int_max_str_digits"),
 }
 BUILTINS_NEW_IN_3_11 = ("ExceptionGroup", "BaseExceptionGroup")
 
@@ -120,9 +122,11 @@ def test_sources_use_no_stdlib_names_new_in_3_11():
 def test_new_stdlib_names_are_caught():
     # The walker finds each kind of use; time.timeout is no asyncio name.
     code = (
-        "import math, time, tomllib\nimport typing as t\nfrom enum import StrEnum\n"
-        "x: t.Self = math.cbrt(time.timeout)\nraise ExceptionGroup('', [])\n"
+        "import math, sys, time, tomllib\nimport typing as t\nfrom enum import StrEnum\n"
+        "x: t.Self = math.cbrt(time.timeout)\nsys.set_int_max_str_digits(0)\n"
+        "raise ExceptionGroup('', [])\n"
     )
     assert sorted(names_new_in_3_11(ast.parse(code))) == [
-        "ExceptionGroup", "enum.StrEnum", "math.cbrt", "tomllib", "typing.Self"
+        "ExceptionGroup", "enum.StrEnum", "math.cbrt", "sys.set_int_max_str_digits",
+        "tomllib", "typing.Self",
     ]

@@ -34,6 +34,11 @@ class TestComputeUd:
         assert r.ud_m == pytest.approx(SPEED_OF_LIGHT_M_S / 6_000_000, rel=1e-15)
         assert r.ud_m == pytest.approx(49.9654, abs=1e-3)
 
+    def test_refuses_fractional_index(self):
+        # 54000.9 used to be truncated, giving gcd(54000, 54003) = 3.
+        with pytest.raises(TypeError):
+            compute_ud(PLAN, (54000.9, 54003))
+
     def test_single_frequency_is_one_wavelength(self):
         r = compute_ud(PLAN, (54000,))
         assert r.gcd_k == 54000

@@ -122,6 +122,13 @@ class TestValidatePlan:
     def test_keeps_decimal_f_min_exact(self):
         assert make_plan([(5, 1)], f_min_hz=Decimal("0.1")).f_min_hz == Fraction(1, 10)
 
+    def test_refuses_decimal_nan_f_min(self):
+        # float() raises ValueError for a signalling NaN, which used to escape.
+        for nan in ("sNaN", "NaN"):
+            with pytest.raises(PlanError) as info:
+                make_plan([(5, 1)], f_min_hz=Decimal(nan))
+            assert str(info.value) == "f_min_hz must be finite and positive, got nan"
+
     def test_normalizes_segment_order(self):
         plan = validate_plan(
             {
@@ -298,6 +305,13 @@ class TestSelectionFromIndices:
     def test_rejects_empty(self):
         with pytest.raises(SelectionError):
             selection_from_indices(make_plan([(5, 3)]), [])
+
+    def test_refuses_fractional_index(self):
+        # 54000.9 used to be truncated to the plan member 54000.
+        plan = make_plan([(54000, 10)])
+        with pytest.raises(SelectionError, match=r"^index 54000\.9 is not an integer$"):
+            selection_from_indices(plan, [54000.9])
+        assert selection_from_indices(plan, ["54001", np.int64(54002)]) == (54001, 54002)
 
     def test_many_segments_are_searched_by_bisection(self):
         # The shape of test_cli's `singles` plan: 200,000 single indices 40 apart.
