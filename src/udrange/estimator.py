@@ -136,10 +136,18 @@ def prob_montecarlo(
     threads runs one pool task, blocks i, i + T, i + 2T, ..., so the pool
     holds T futures whatever ``trials`` is; integer hit counts sum the same
     in any order.
-    Columns come from sample_selection_batch, which maps draws through the
-    plan's cached bucket table and returns int32 when the plan's last index
-    is below 2**31 (int64 otherwise), so the gcd runs in int32 there; the
-    drawn indices, and so the estimate, do not depend on that dtype.
+    A block decides coprimality one of two ways, with the same draws and the
+    same estimate. If the plan has prime signatures (see
+    FrequencyPlan.prime_signatures: K < 313**3, N <= 2**16 and
+    pi(max(isqrt(K), 311)) * L <= N), built once in the calling thread, it
+    draws the flat positions sample_selection_batch would draw and keeps a
+    running AND of their 64-bit masks of primes up to 311 and the shared
+    part of their prime factors above 311: a row's gcd is above 1 exactly
+    while either is nonzero. Otherwise columns come from
+    sample_selection_batch, which maps draws through the plan's cached bucket
+    table and returns int32 when the plan's last index is below 2**31 (int64
+    otherwise), and fold into a running np.gcd; the drawn indices, and so
+    the estimate, do not depend on that dtype.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -154,10 +162,9 @@ def prob_montecarlo(
     import numpy as np
 
     n_blocks = (trials + MC_BLOCK_SIZE - 1) // MC_BLOCK_SIZE
+    signatures = plan.prime_signatures  # built here, not by the pool's threads
 
-    def block_hits(b: int) -> int:
-        n = min(MC_BLOCK_SIZE, trials - b * MC_BLOCK_SIZE)
-        rng = np.random.default_rng(np.random.SeedSequence(list(entropy + (b,))))
+    def gcd_hits(n: int, rng: np.random.Generator) -> int:
         g = sample_selection_batch(plan, n, rng)
         for _ in range(m - 1):
             g = g[g > 1]
@@ -165,6 +172,32 @@ def prob_montecarlo(
                 break
             g = np.gcd(g, sample_selection_batch(plan, g.size, rng))
         return n - int(np.count_nonzero(g > 1))
+
+    def signature_hits(n: int, rng: np.random.Generator) -> int:
+        # The positions sample_selection_batch draws (int32: K < 313**3), and a
+        # row drops at the step its gcd would reach 1, when its mask and both
+        # of its shared primes above 311 are 0.
+        masks, large = signatures
+        pairs = large.view(np.int64).ravel()  # one gather fetches both primes
+        pos = rng.integers(0, plan.n_frequencies, size=n, dtype=np.int32)
+        mask, shared = masks[pos], pairs[pos]
+        for _ in range(m - 1):
+            keep = (mask != 0) | (shared != 0)
+            mask = mask[keep]  # one array at a time: the block's memory peak
+            shared = shared[keep]
+            if not mask.size:
+                break
+            pos = rng.integers(0, plan.n_frequencies, size=mask.size, dtype=np.int32)
+            mask &= masks[pos]
+            a = shared.view(np.int32).reshape(-1, 2)
+            b = pairs[pos].view(np.int32).reshape(-1, 2)
+            a *= (a == b[:, :1]) | (a == b[:, 1:])
+        return n - int(np.count_nonzero((mask != 0) | (shared != 0)))
+
+    def block_hits(b: int) -> int:
+        n = min(MC_BLOCK_SIZE, trials - b * MC_BLOCK_SIZE)
+        rng = np.random.default_rng(np.random.SeedSequence(list(entropy + (b,))))
+        return (gcd_hits if signatures is None else signature_hits)(n, rng)
 
     threads = min(workers, n_blocks, _usable_cpus())
 

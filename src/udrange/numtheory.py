@@ -138,11 +138,18 @@ def zeta_int(m: int) -> float:
 
 
 def gcd_all(values: Iterable[int] | Sequence[int]) -> int:
-    """GCD of a non-empty collection of positive integers; a float raises TypeError."""
+    """GCD of a non-empty collection of positive integers; a float raises TypeError.
+
+    A value below 1 raises ValueError, quoted only if str() can print it.
+    """
     values = list(values)
     if not values:
         raise ValueError("gcd_all requires at least one value")
     for v in values:
         if v < 1:
-            raise ValueError(f"all values must be positive integers, got {v}")
+            try:
+                shown = f", got {v}"
+            except ValueError:  # str() refuses an int of more than 4,300 digits
+                shown = ""
+            raise ValueError(f"all values must be positive integers{shown}")
     return math.gcd(*values)

@@ -49,8 +49,9 @@ class FrequencyPlan:
 
     Segment l covers grid indices [a_l, a_l + count_l - 1], i.e. frequencies
     a_l * f_min .. (a_l + count_l - 1) * f_min, with f_min_hz exact. State
-    derived from the plan is computed once per object, on first use, and
-    freed with it.
+    derived from the plan (the sampler's bucket table, the exact method's
+    weights, the Monte Carlo prime signatures) is computed once per object,
+    on first use, and freed with it.
     """
 
     f_min_hz: Fraction
@@ -94,6 +95,68 @@ class FrequencyPlan:
         starts = cum[:-1]
         table[starts[starts & ((1 << bits) - 1) != 0] >> bits] = 0
         return cum, shift, bits, table
+
+    @cached_property
+    def prime_signatures(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """The prime factors of the index at each flat position 0..N-1.
+
+        Returns (masks, large): bit i of the uint64 masks[j] is set when the
+        i-th prime (2, 3, ..., 311, the first 64) divides the index at
+        position j, and large[j] holds its prime factors above 311 as an int32
+        pair, 0 where absent. Two indices share a prime exactly when their
+        masks share a bit or their pairs a nonzero entry. None unless
+        K < 313**3, so no index has three factors above 311, N <= 2**16, so
+        the table stays under 1 MiB, and pi(B) * L <= N for
+        B = max(isqrt(K), 311), so the walk below takes no more prime steps
+        than the table has entries.
+
+        Each prime p <= B marks its multiples in each segment, one slice of
+        stride p, and is divided out of an int64 copy of the indices along
+        the multiples of each power of p; what remains above 1 is the one
+        prime factor above B, and so above sqrt(K).
+        """
+        k_max, n = self.last_index, self.n_frequencies
+        if k_max >= 313**3 or n > 2**16:
+            return None
+        import numpy as np
+
+        bound = max(math.isqrt(k_max), 311)
+        sieve = np.ones(bound + 1, dtype=bool)
+        sieve[:2] = False
+        for p in range(2, math.isqrt(bound) + 1):
+            if sieve[p]:
+                sieve[p * p :: p] = False
+        primes = np.flatnonzero(sieve).tolist()
+        if len(primes) * self.n_segments > n:
+            return None
+        spans, lo = [], 0  # (first index, first position, end position)
+        for s in self.segments:
+            spans.append((s.start, lo, lo + s.count))
+            lo += s.count
+        rest = np.concatenate(
+            [np.arange(s.start, s.end + 1, dtype=np.int64) for s in self.segments]
+        )
+        masks = np.zeros(n, dtype=np.uint64)
+        # Factors above 311, the latest found first; a third would need K >= 313**3.
+        first, second = np.zeros(n, dtype=np.int32), np.zeros(n, dtype=np.int32)
+        for i, p in enumerate(primes):
+            q = p
+            while q <= k_max:
+                for start, lo, end in spans:
+                    at = lo + -start % q  # position of the segment's first multiple
+                    if at >= end:
+                        continue
+                    rest[at:end:q] //= p
+                    if q == p and i < 64:
+                        masks[at:end:p] |= np.uint64(1 << i)
+                    elif q == p:
+                        second[at:end:p] = first[at:end:p]
+                        first[at:end:p] = p
+                q *= p
+        top = rest > 1
+        second[top] = first[top]
+        first[top] = rest[top]
+        return masks, np.stack([first, second], axis=1)
 
     @cached_property
     def coprimality_weights(self) -> tuple[tuple[int, int], ...]:
@@ -274,7 +337,8 @@ def selection_from_indices(
     """The indices as ints, each found by bisection in the plan's sorted segments.
 
     A string goes through int() and any other entry through operator.index, so
-    SelectionError refuses 54000.9 as it does no entries or an out-of-plan one.
+    SelectionError refuses 54000.9 as it does no entries or an out-of-plan one;
+    an int too long for str() is refused without being quoted.
     """
     if not indices:
         raise SelectionError("selection must contain at least one index")
@@ -287,6 +351,10 @@ def selection_from_indices(
             raise SelectionError(f"index {k!r} is not an integer") from None
         i = bisect_right(starts, k) - 1
         if i < 0 or k > plan.segments[i].end:
-            raise SelectionError(f"index {k} is not in the plan's index set")
+            try:
+                shown = f" {k}"
+            except ValueError:  # str() refuses an int of more than 4,300 digits
+                shown = ""
+            raise SelectionError(f"index{shown} is not in the plan's index set")
         checked.append(k)
     return tuple(checked)

@@ -3,7 +3,8 @@
 Everything here deliberately avoids the code paths under test: mu comes from
 sympy, zeta from mpmath, tuple counting from plain itertools + math.gcd, and
 the exact method's weights from a plain sieve over every prime with full-range
-multiple counts, and sampled grid indices from a binary search per draw.
+multiple counts, sampled grid indices from a binary search per draw, and
+prime factors from trial division.
 """
 
 from __future__ import annotations
@@ -35,6 +36,26 @@ def is_prime_trial_division(n: int) -> bool:
         if n % d == 0:
             return False
     return True
+
+
+# Every prime below 5,600, which exceeds isqrt(313**3): enough to factor any
+# index of a plan with prime signatures.
+TRIAL_PRIMES = [d for d in range(2, 5_600) if is_prime_trial_division(d)]
+
+
+def prime_factors_trial_division(n: int) -> set[int]:
+    """The distinct prime factors of 1 <= n < 5,600**2, by trial division."""
+    found = set()
+    for d in TRIAL_PRIMES:
+        if d * d > n:
+            break
+        if n % d == 0:
+            found.add(d)
+            while n % d == 0:
+                n //= d
+    if n > 1:
+        found.add(n)
+    return found
 
 
 def plan_indices(plan: FrequencyPlan) -> list[int]:

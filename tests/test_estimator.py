@@ -334,7 +334,8 @@ class TestProbMonteCarlo:
         assert prob_montecarlo(plan, 10**9, 1_000, seed=0).value == 0.0
         assert time.perf_counter() - start < 1.0
 
-        # With G = 2 no row can be coprime, so nothing is drawn.
+        # With G = 2 no row can be coprime, so nothing is drawn and no prime
+        # signature table is built, or even asked for.
         def refuse(*args):
             raise AssertionError("drew from a plan whose gcd is above 1")
 
@@ -342,6 +343,61 @@ class TestProbMonteCarlo:
         estimate = prob_montecarlo(plan, 3, 200_000, seed=0, workers=2)
         assert estimate.value == estimate.std_error == 0.0
         assert estimate.trials == 200_000
+        assert "prime_signatures" not in vars(plan)
+
+
+# Plans that pass prime_signatures' gate: the Fig. 1 plans, one that holds
+# index 1, and one whose indices have two prime factors above 311, up to
+# K = 313**3 - 1.
+SIGNATURE_PLANS = {
+    "fig1_L1": lambda: load_fig1_plan(1),
+    "fig1_L12": lambda: load_fig1_plan(12),
+    "from_one": lambda: make_plan([(1, 2_000)]),
+    "near_313_cubed": lambda: make_plan(
+        [(313 * 317 - 400, 800), (307 * 313 * 317 - 500, 1_000), (313**3 - 1_000, 1_000)]
+    ),
+}
+
+
+class TestPrimeSignaturePath:
+    @pytest.mark.parametrize("name", SIGNATURE_PLANS)
+    def test_same_estimate_as_gcd_path(self, name, monkeypatch):
+        # Two blocks, so that two workers split them.
+        runs = [(m, w) for m in (1, 2, 3, 4, 5, 6, 13, 64) for w in (1, 2)]
+        plan = SIGNATURE_PLANS[name]()
+        assert plan.prime_signatures is not None
+        fast = [prob_montecarlo(plan, m, 70_000, seed=(29, m), workers=w) for m, w in runs]
+        monkeypatch.setattr(FrequencyPlan, "prime_signatures", None)
+        plan = SIGNATURE_PLANS[name]()
+        slow = [prob_montecarlo(plan, m, 70_000, seed=(29, m), workers=w) for m, w in runs]
+        assert fast == slow
+
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            PAST_INT32,  # K >= 313**3
+            FORTY_SEGMENTS,  # pi(311) * L = 64 * 40 > N
+            make_plan([(1_000, 2**16 + 1)]),  # N > 2**16
+            make_plan([(313**3 - 999, 1_000)]),  # K = 313**3
+            # test_cli's l20000 plan: N = 10**6 in 20,000 segments
+            make_plan([(10 + 100 * i, 50) for i in range(20_000)]),
+        ],
+        ids=["past_int32", "forty_segments", "n_2_16_plus_1", "k_313_cubed", "l20000"],
+    )
+    def test_gate_refuses(self, plan):
+        assert plan.prime_signatures is None
+
+    def test_largest_table_and_one_block_stay_small(self):
+        # The gate's largest table: N = 2**16 indices, the last 313**3 - 1.
+        plan = make_plan([(313**3 - 2**16, 2**16)])
+        tracemalloc.start()
+        try:
+            prob_montecarlo(plan, 3, MC_BLOCK_SIZE, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert plan.prime_signatures is not None
+        assert peak < 4 * 2**20
 
 
 class TestWilsonBounds:

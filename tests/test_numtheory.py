@@ -187,6 +187,12 @@ class TestGcdAll:
         with pytest.raises(ValueError):
             gcd_all([4, 0, 6])
 
+    def test_refuses_int_too_long_to_print(self):
+        # str() refuses an int of more than 4,300 digits: the value is not quoted.
+        message = "^all values must be positive integers$"
+        with pytest.raises(ValueError, match=message):
+            gcd_all([-(10**5000)])
+
     def test_refuses_float(self):
         # 2.9 used to be truncated to 2, giving gcd 2.
         with pytest.raises(TypeError):

@@ -88,29 +88,38 @@ NAMES_NEW_IN_3_11 = {
 BUILTINS_NEW_IN_3_11 = ("ExceptionGroup", "BaseExceptionGroup")
 
 
-def names_new_in_3_11(tree: ast.AST) -> list[str]:
-    """The names from the lists above that tree imports or uses."""
-    found, modules = [], {}  # modules: local name -> module it is bound to
+def names_used(
+    tree: ast.AST,
+    names: dict[str, tuple[str, ...]],
+    modules: tuple[str, ...] = (),
+    builtins: tuple[str, ...] = (),
+) -> list[str]:
+    """The listed modules, module names and builtins that tree imports or uses."""
+    found, bound = [], {}  # bound: local name -> module it is bound to
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
-                modules[alias.asname or alias.name] = alias.name
-                if alias.name in MODULES_NEW_IN_3_11:
+                bound[alias.asname or alias.name] = alias.name
+                if alias.name in modules:
                     found.append(alias.name)
         elif isinstance(node, ast.ImportFrom):
-            if node.module in MODULES_NEW_IN_3_11:
+            if node.module in modules:
                 found.append(node.module)
             for alias in node.names:
-                if alias.name in NAMES_NEW_IN_3_11.get(node.module, ()):
+                if alias.name in names.get(node.module, ()):
                     found.append(f"{node.module}.{alias.name}")
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-            module = modules.get(node.value.id)
-            if node.attr in NAMES_NEW_IN_3_11.get(module, ()):
+            module = bound.get(node.value.id)
+            if node.attr in names.get(module, ()):
                 found.append(f"{module}.{node.attr}")
-        elif isinstance(node, ast.Name) and node.id in BUILTINS_NEW_IN_3_11:
+        elif isinstance(node, ast.Name) and node.id in builtins:
             found.append(node.id)
     return found
+
+
+def names_new_in_3_11(tree: ast.AST) -> list[str]:
+    return names_used(tree, NAMES_NEW_IN_3_11, MODULES_NEW_IN_3_11, BUILTINS_NEW_IN_3_11)
 
 
 def test_sources_use_no_stdlib_names_new_in_3_11():
@@ -129,4 +138,33 @@ def test_new_stdlib_names_are_caught():
     assert sorted(names_new_in_3_11(ast.parse(code))) == [
         "ExceptionGroup", "enum.StrEnum", "math.cbrt", "sys.set_int_max_str_digits",
         "tomllib", "typing.Self",
+    ]
+
+
+# numpy names new in 2.0, which pyproject.toml's numpy>=1.24 lacks. Array
+# methods such as ``x.astype`` are older and not matched: only ``np.astype``.
+NAMES_NEW_IN_NUMPY_2 = {
+    "numpy": (
+        "bitwise_count", "bitwise_left_shift", "bitwise_right_shift",
+        "bitwise_invert", "unique_all", "unique_counts", "unique_inverse",
+        "unique_values", "cumulative_sum", "cumulative_prod", "concat", "astype",
+        "isdtype", "permute_dims", "matrix_transpose", "vecdot", "pow",
+    ),
+}
+
+
+def test_sources_use_no_numpy_names_new_in_2():
+    for path in source_paths():
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        assert names_used(tree, NAMES_NEW_IN_NUMPY_2) == [], path
+
+
+def test_new_numpy_names_are_caught():
+    # A method of the same name, and the builtin pow, are not numpy's.
+    code = (
+        "import numpy as np\nfrom numpy import vecdot\n"
+        "x = np.bitwise_count(np.arange(3)).astype(int) + pow(2, 3)\n"
+    )
+    assert sorted(names_used(ast.parse(code), NAMES_NEW_IN_NUMPY_2)) == [
+        "numpy.bitwise_count", "numpy.vecdot",
     ]

@@ -19,7 +19,13 @@ from udrange.spectrum import (
 )
 
 from .conftest import make_plan, small_plans
-from .oracles import count_multiples_brute, sample_selection_ref
+from .oracles import (
+    TRIAL_PRIMES,
+    count_multiples_brute,
+    plan_indices,
+    prime_factors_trial_division,
+    sample_selection_ref,
+)
 
 
 class TestValidatePlan:
@@ -313,6 +319,11 @@ class TestSelectionFromIndices:
             selection_from_indices(plan, [54000.9])
         assert selection_from_indices(plan, ["54001", np.int64(54002)]) == (54001, 54002)
 
+    def test_refuses_int_too_long_to_print(self):
+        # str() refuses an int of more than 4,300 digits: the value is not quoted.
+        with pytest.raises(SelectionError, match="^index is not in the plan's index set$"):
+            selection_from_indices(make_plan([(5, 3)]), [10**5000])
+
     def test_many_segments_are_searched_by_bisection(self):
         # The shape of test_cli's `singles` plan: 200,000 single indices 40 apart.
         plan = make_plan([(40 * i, 1) for i in range(1, 200_001)])
@@ -323,3 +334,60 @@ class TestSelectionFromIndices:
         for k in (41, 39, 8_000_040):  # in a gap, below the first, above the last
             with pytest.raises(SelectionError, match=f"index {k} is not in"):
                 selection_from_indices(plan, indices + [k])
+
+
+# A plan passes prime_signatures' gate when K < 313**3, N <= 2**16 and
+# pi(max(isqrt(K), 311)) * L <= N; pi(isqrt(313**3 - 1)) = 732.
+@st.composite
+def signature_plans(draw):
+    """One to three segments of at least 732 indices each, ending below 313**3."""
+    n_segments = draw(st.integers(1, 3))
+    counts = [draw(st.integers(732, 900)) for _ in range(n_segments)]
+    gaps = [draw(st.integers(1, 10**7)) for _ in range(n_segments - 1)] + [0]
+    start = draw(st.integers(1, 313**3 - 1 - sum(counts) - sum(gaps)))
+    segments = []
+    for count, gap in zip(counts, gaps):
+        segments.append((start, count))
+        start += count + gap
+    return make_plan(segments)
+
+
+class TestPrimeSignatures:
+    @staticmethod
+    def assert_factors_match_trial_division(plan):
+        masks, large = plan.prime_signatures
+        bit = {p: 1 << i for i, p in enumerate(TRIAL_PRIMES[:64])}
+        expected_masks, expected_large = [], []
+        for k in plan_indices(plan):
+            factors = prime_factors_trial_division(k)
+            expected_masks.append(sum(bit[p] for p in factors if p in bit))
+            expected_large.append({p for p in factors if p not in bit})
+        assert TRIAL_PRIMES[63] == 311
+        assert masks.dtype == np.uint64 and large.dtype == np.int32
+        assert large.shape == (plan.n_frequencies, 2)
+        assert masks.tolist() == expected_masks
+        assert [set(pair) - {0} for pair in large.tolist()] == expected_large
+
+    def test_fig1_plans_match_trial_division(self, fig1_plans):
+        for plan in fig1_plans:
+            self.assert_factors_match_trial_division(plan)
+
+    @pytest.mark.parametrize(
+        "segments",
+        [
+            [(1, 800)],  # index 1 has no prime factor
+            # 313**2, and 313 * 317 with 317 above isqrt(K) = 315
+            [(313**2 - 400, 800), (313 * 317 - 400, 800)],
+            # 2 * 313 * 317 with both factors below isqrt(K) = 445
+            [(2 * 313 * 317 - 400, 800)],
+            # 307 * 313 * 317, and K = 313**3 - 1
+            [(307 * 313 * 317 - 500, 1_000), (313**3 - 1_000, 1_000)],
+        ],
+    )
+    def test_edge_plans_match_trial_division(self, segments):
+        self.assert_factors_match_trial_division(make_plan(segments))
+
+    @given(plan=signature_plans())
+    @settings(max_examples=10, deadline=None)
+    def test_random_plans_match_trial_division(self, plan):
+        self.assert_factors_match_trial_division(plan)
