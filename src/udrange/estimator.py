@@ -19,6 +19,12 @@ EXACT_MAX_INDEX = 10_000_000  # bound on the largest plan index K for the exact 
 EXACT_MAX_BITS = 14_000  # bound on M * bit_length(N): the size of N^M and of the sum
 
 MC_BLOCK_SIZE = 65_536  # fixed so results never depend on worker count
+# A plan's prime_signatures take about 72 ns per table entry and at most 2.5 us
+# per step of their walk to build, and once M >= 2 they save about 30 ns per
+# drawn row (2-core x86-64 VM, numpy 2.4): a request builds them only when it
+# draws at least this many rows per entry and per step.
+SIGNATURE_ROWS_PER_ENTRY = 3
+SIGNATURE_ROWS_PER_STEP = 85
 
 
 class CapabilityError(RuntimeError):
@@ -137,17 +143,20 @@ def prob_montecarlo(
     holds T futures whatever ``trials`` is; integer hit counts sum the same
     in any order.
     A block decides coprimality one of two ways, with the same draws and the
-    same estimate. If the plan has prime signatures (see
-    FrequencyPlan.prime_signatures: K < 313**3, N <= 2**16 and
-    pi(max(isqrt(K), 311)) * L <= N), built once in the calling thread, it
-    draws the flat positions sample_selection_batch would draw and keeps a
-    running AND of their 64-bit masks of primes up to 311 and the shared
-    part of their prime factors above 311: a row's gcd is above 1 exactly
-    while either is nonzero. Otherwise columns come from
-    sample_selection_batch, which maps draws through the plan's cached bucket
-    table and returns int32 when the plan's last index is below 2**31 (int64
-    otherwise), and fold into a running np.gcd; the drawn indices, and so
-    the estimate, do not depend on that dtype.
+    same estimate. With the plan's prime signatures (see
+    FrequencyPlan.prime_signatures), it draws the flat positions
+    sample_selection_batch would draw and keeps a running AND of their 64-bit
+    masks of primes up to 311 and the shared part of their prime factors
+    above 311: a row's gcd is above 1 exactly while either is nonzero.
+    Otherwise columns come from sample_selection_batch, which maps draws
+    through the plan's cached bucket table and returns int32 when the plan's
+    last index is below 2**31 (int64 otherwise), and fold into a running
+    np.gcd; the drawn indices, and so the estimate, do not depend on that
+    dtype. The signatures are used when M >= 2, the plan has them (K < 313**3,
+    N <= 2**16) and they are already built or the request draws enough rows
+    to pay for building them: trials >= SIGNATURE_ROWS_PER_ENTRY * N +
+    SIGNATURE_ROWS_PER_STEP * prime_signature_steps. They are built once,
+    in the calling thread.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -162,7 +171,16 @@ def prob_montecarlo(
     import numpy as np
 
     n_blocks = (trials + MC_BLOCK_SIZE - 1) // MC_BLOCK_SIZE
-    signatures = plan.prime_signatures  # built here, not by the pool's threads
+    # M = 1 has no gcd to save; a table already built costs nothing more.
+    steps = plan.prime_signature_steps
+    if m > 1 and steps is not None and (
+        "prime_signatures" in vars(plan)
+        or trials >= SIGNATURE_ROWS_PER_ENTRY * plan.n_frequencies
+        + SIGNATURE_ROWS_PER_STEP * steps
+    ):
+        signatures = plan.prime_signatures  # built here, not by the pool's threads
+    else:
+        signatures = None
 
     def gcd_hits(n: int, rng: np.random.Generator) -> int:
         g = sample_selection_batch(plan, n, rng)

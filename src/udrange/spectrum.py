@@ -97,6 +97,26 @@ class FrequencyPlan:
         return cum, shift, bits, table
 
     @cached_property
+    def prime_signature_steps(self) -> int | None:
+        """Steps the prime_signatures walk takes, or None if the plan has none.
+
+        One step per segment and power p**e <= K of each prime p it walks;
+        the walk's time grows with these steps and with N. None unless
+        K < 313**3, so that no index has three prime factors above 311, and
+        N <= 2**16, so that the table stays under 1 MiB.
+        """
+        k_max = self.last_index
+        if k_max >= 313**3 or self.n_frequencies > 2**16:
+            return None
+        powers = 0
+        for p in _signature_primes(k_max):
+            q = p
+            while q <= k_max:
+                powers += 1
+                q *= p
+        return powers * self.n_segments
+
+    @cached_property
     def prime_signatures(self) -> tuple[np.ndarray, np.ndarray] | None:
         """The prime factors of the index at each flat position 0..N-1.
 
@@ -104,31 +124,20 @@ class FrequencyPlan:
         i-th prime (2, 3, ..., 311, the first 64) divides the index at
         position j, and large[j] holds its prime factors above 311 as an int32
         pair, 0 where absent. Two indices share a prime exactly when their
-        masks share a bit or their pairs a nonzero entry. None unless
-        K < 313**3, so no index has three factors above 311, N <= 2**16, so
-        the table stays under 1 MiB, and pi(B) * L <= N for
-        B = max(isqrt(K), 311), so the walk below takes no more prime steps
-        than the table has entries.
+        masks share a bit or their pairs a nonzero entry. None when
+        prime_signature_steps is None.
 
-        Each prime p <= B marks its multiples in each segment, one slice of
-        stride p, and is divided out of an int64 copy of the indices along
-        the multiples of each power of p; what remains above 1 is the one
-        prime factor above B, and so above sqrt(K).
+        Each prime p <= B = max(isqrt(K), 311) marks its multiples in each
+        segment, one slice of stride p, and is divided out of an int64 copy
+        of the indices along the multiples of each power of p; what remains
+        above 1 is the one prime factor above B, and so above sqrt(K).
         """
-        k_max, n = self.last_index, self.n_frequencies
-        if k_max >= 313**3 or n > 2**16:
+        if self.prime_signature_steps is None:
             return None
         import numpy as np
 
-        bound = max(math.isqrt(k_max), 311)
-        sieve = np.ones(bound + 1, dtype=bool)
-        sieve[:2] = False
-        for p in range(2, math.isqrt(bound) + 1):
-            if sieve[p]:
-                sieve[p * p :: p] = False
-        primes = np.flatnonzero(sieve).tolist()
-        if len(primes) * self.n_segments > n:
-            return None
+        k_max, n = self.last_index, self.n_frequencies
+        primes = _signature_primes(k_max)
         spans, lo = [], 0  # (first index, first position, end position)
         for s in self.segments:
             spans.append((s.start, lo, lo + s.count))
@@ -288,6 +297,19 @@ def load_plan(path: str | Path) -> FrequencyPlan:
     except (OSError, ValueError, RecursionError) as exc:
         raise PlanError(f"cannot read plan file {path}: {exc}") from exc
     return validate_plan(raw)
+
+
+def _signature_primes(k_max: int) -> list[int]:
+    """The primes up to max(isqrt(k_max), 311), which prime_signatures walks."""
+    import numpy as np
+
+    bound = max(math.isqrt(k_max), 311)
+    sieve = np.ones(bound + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(bound) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    return np.flatnonzero(sieve).tolist()
 
 
 def count_multiples_upto(plan: FrequencyPlan, j: np.ndarray) -> np.ndarray:

@@ -346,57 +346,94 @@ class TestProbMonteCarlo:
         assert "prime_signatures" not in vars(plan)
 
 
-# Plans that pass prime_signatures' gate: the Fig. 1 plans, one that holds
-# index 1, and one whose indices have two prime factors above 311, up to
-# K = 313**3 - 1.
+# Plans with prime signatures: the Fig. 1 plans, one that holds index 1, one
+# of 40 short segments, and one whose indices have two prime factors above
+# 311, up to K = 313**3 - 1.
 SIGNATURE_PLANS = {
     "fig1_L1": lambda: load_fig1_plan(1),
     "fig1_L12": lambda: load_fig1_plan(12),
     "from_one": lambda: make_plan([(1, 2_000)]),
+    "forty_segments": lambda: FrequencyPlan(
+        FORTY_SEGMENTS.f_min_hz, FORTY_SEGMENTS.segments
+    ),
     "near_313_cubed": lambda: make_plan(
         [(313 * 317 - 400, 800), (307 * 313 * 317 - 500, 1_000), (313**3 - 1_000, 1_000)]
     ),
 }
 
 
+def refuse_draws(*args):
+    raise AssertionError("drew through sample_selection_batch")
+
+
+def break_even(plan: FrequencyPlan) -> int:
+    """The fewest trials for which a request builds the plan's signatures."""
+    return (
+        estimator.SIGNATURE_ROWS_PER_ENTRY * plan.n_frequencies
+        + estimator.SIGNATURE_ROWS_PER_STEP * plan.prime_signature_steps
+    )
+
+
 class TestPrimeSignaturePath:
     @pytest.mark.parametrize("name", SIGNATURE_PLANS)
     def test_same_estimate_as_gcd_path(self, name, monkeypatch):
         # Two blocks, so that two workers split them.
-        runs = [(m, w) for m in (1, 2, 3, 4, 5, 6, 13, 64) for w in (1, 2)]
+        runs = [(m, w) for m in (2, 3, 4, 5, 6, 13, 64) for w in (1, 2)]
         plan = SIGNATURE_PLANS[name]()
-        assert plan.prime_signatures is not None
+        assert plan.prime_signatures is not None  # built, so every run reads it
+        monkeypatch.setattr(estimator, "sample_selection_batch", refuse_draws)
         fast = [prob_montecarlo(plan, m, 70_000, seed=(29, m), workers=w) for m, w in runs]
-        monkeypatch.setattr(FrequencyPlan, "prime_signatures", None)
+        monkeypatch.undo()
+        monkeypatch.setattr(FrequencyPlan, "prime_signature_steps", None)
         plan = SIGNATURE_PLANS[name]()
         slow = [prob_montecarlo(plan, m, 70_000, seed=(29, m), workers=w) for m, w in runs]
+        assert "prime_signatures" not in vars(plan)
         assert fast == slow
+
+    @pytest.mark.parametrize("n_segments", [1, 7, 12])
+    def test_request_builds_the_table_only_when_it_pays(self, n_segments):
+        plan = load_fig1_plan(n_segments)
+        rows = break_even(plan)
+        # The CLI's 20,000-trial requests, a single block, and M = 1, which
+        # has no gcd to save, leave the table unbuilt.
+        for m, trials in ((3, 20_000), (3, MC_BLOCK_SIZE), (3, rows - 1), (1, rows)):
+            prob_montecarlo(plan, m, trials, seed=1)
+            assert "prime_signatures" not in vars(plan)
+        prob_montecarlo(plan, 2, rows, seed=1)
+        assert vars(plan)["prime_signatures"] is not None
+
+    def test_built_table_serves_small_requests(self, monkeypatch):
+        plan = load_fig1_plan(12)
+        pinned = prob_montecarlo(plan, 3, 20_000, seed=1)
+        assert plan.prime_signatures is not None
+        monkeypatch.setattr(estimator, "sample_selection_batch", refuse_draws)
+        assert prob_montecarlo(plan, 3, 20_000, seed=1) == pinned
 
     @pytest.mark.parametrize(
         "plan",
         [
             PAST_INT32,  # K >= 313**3
-            FORTY_SEGMENTS,  # pi(311) * L = 64 * 40 > N
             make_plan([(1_000, 2**16 + 1)]),  # N > 2**16
             make_plan([(313**3 - 999, 1_000)]),  # K = 313**3
             # test_cli's l20000 plan: N = 10**6 in 20,000 segments
             make_plan([(10 + 100 * i, 50) for i in range(20_000)]),
         ],
-        ids=["past_int32", "forty_segments", "n_2_16_plus_1", "k_313_cubed", "l20000"],
+        ids=["past_int32", "n_2_16_plus_1", "k_313_cubed", "l20000"],
     )
-    def test_gate_refuses(self, plan):
+    def test_plans_without_a_table(self, plan):
+        assert plan.prime_signature_steps is None
         assert plan.prime_signatures is None
 
     def test_largest_table_and_one_block_stay_small(self):
-        # The gate's largest table: N = 2**16 indices, the last 313**3 - 1.
+        # The largest table: N = 2**16 indices, the last 313**3 - 1.
         plan = make_plan([(313**3 - 2**16, 2**16)])
         tracemalloc.start()
         try:
+            assert plan.prime_signatures is not None
             prob_montecarlo(plan, 3, MC_BLOCK_SIZE, seed=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert plan.prime_signatures is not None
         assert peak < 4 * 2**20
 
 

@@ -336,13 +336,12 @@ class TestSelectionFromIndices:
                 selection_from_indices(plan, indices + [k])
 
 
-# A plan passes prime_signatures' gate when K < 313**3, N <= 2**16 and
-# pi(max(isqrt(K), 311)) * L <= N; pi(isqrt(313**3 - 1)) = 732.
+# A plan has prime signatures when K < 313**3 and N <= 2**16.
 @st.composite
 def signature_plans(draw):
-    """One to three segments of at least 732 indices each, ending below 313**3."""
-    n_segments = draw(st.integers(1, 3))
-    counts = [draw(st.integers(732, 900)) for _ in range(n_segments)]
+    """One to five segments of up to 900 indices each, ending below 313**3."""
+    n_segments = draw(st.integers(1, 5))
+    counts = [draw(st.integers(1, 900)) for _ in range(n_segments)]
     gaps = [draw(st.integers(1, 10**7)) for _ in range(n_segments - 1)] + [0]
     start = draw(st.integers(1, 313**3 - 1 - sum(counts) - sum(gaps)))
     segments = []
@@ -391,3 +390,13 @@ class TestPrimeSignatures:
     @settings(max_examples=10, deadline=None)
     def test_random_plans_match_trial_division(self, plan):
         self.assert_factors_match_trial_division(plan)
+
+    @pytest.mark.parametrize(
+        "segments", [[(1, 800)], [(100, 50), (7_000, 3)], [(313**3 - 1_000, 1_000)]]
+    )
+    def test_steps_count_each_prime_power_in_each_segment(self, segments):
+        plan = make_plan(segments)
+        k = plan.last_index
+        walked = [p for p in TRIAL_PRIMES if p <= max(math.isqrt(k), 311)]
+        powers = sum(len([e for e in range(1, 64) if p**e <= k]) for p in walked)
+        assert plan.prime_signature_steps == powers * len(segments)
