@@ -158,8 +158,12 @@ def prob_montecarlo(
     SIGNATURE_ROWS_PER_STEP * prime_signature_steps. They are built once,
     in the calling thread.
     """
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     entropy = seed if isinstance(seed, tuple) else (seed,)
     if any(s < 0 for s in entropy):
         raise ValueError(f"seed must be non-negative, got {seed}")
@@ -195,8 +199,7 @@ def prob_montecarlo(
         # The positions sample_selection_batch draws (int32: K < 313**3), and a
         # row drops at the step its gcd would reach 1, when its mask and both
         # of its shared primes above 311 are 0.
-        masks, large = signatures
-        pairs = large.view(np.int64).ravel()  # one gather fetches both primes
+        masks, pairs = signatures  # one gather of a pair fetches both primes
         pos = rng.integers(0, plan.n_frequencies, size=n, dtype=np.int32)
         mask, shared = masks[pos], pairs[pos]
         for _ in range(m - 1):

@@ -50,8 +50,9 @@ class FrequencyPlan:
     Segment l covers grid indices [a_l, a_l + count_l - 1], i.e. frequencies
     a_l * f_min .. (a_l + count_l - 1) * f_min, with f_min_hz exact. State
     derived from the plan (the sampler's bucket table, the exact method's
-    weights, the Monte Carlo prime signatures) is computed once per object,
-    on first use, and freed with it.
+    weights, the Monte Carlo prime signatures as (masks, pairs), each int64
+    pair two int32 halves) is computed once per object, on first use, and
+    freed with it.
     """
 
     f_min_hz: Fraction
@@ -105,67 +106,54 @@ class FrequencyPlan:
         K < 313**3, so that no index has three prime factors above 311, and
         N <= 2**16, so that the table stays under 1 MiB.
         """
-        k_max = self.last_index
-        if k_max >= 313**3 or self.n_frequencies > 2**16:
+        if self.last_index >= 313**3 or self.n_frequencies > 2**16:
             return None
-        powers = 0
-        for p in _signature_primes(k_max):
-            q = p
-            while q <= k_max:
-                powers += 1
-                q *= p
-        return powers * self.n_segments
+        return len(_signature_powers(self.last_index)) * self.n_segments
 
     @cached_property
     def prime_signatures(self) -> tuple[np.ndarray, np.ndarray] | None:
         """The prime factors of the index at each flat position 0..N-1.
 
-        Returns (masks, large): bit i of the uint64 masks[j] is set when the
-        i-th prime (2, 3, ..., 311, the first 64) divides the index at
-        position j, and large[j] holds its prime factors above 311 as an int32
-        pair, 0 where absent. Two indices share a prime exactly when their
-        masks share a bit or their pairs a nonzero entry. None when
-        prime_signature_steps is None.
+        Returns (masks, pairs) of N entries each: bit i of the uint64 masks[j]
+        is set when the i-th prime (2, 3, ..., 311, the first 64) divides the
+        index at position j, and the int64 pairs[j] holds its prime factors
+        above 311 in its two int32 halves, 0 where absent. Two indices share a
+        prime exactly when their masks share a bit or their pairs a nonzero
+        half. None when prime_signature_steps is None.
 
-        Each prime p <= B = max(isqrt(K), 311) marks its multiples in each
-        segment, one slice of stride p, and is divided out of an int64 copy
-        of the indices along the multiples of each power of p; what remains
-        above 1 is the one prime factor above B, and so above sqrt(K).
+        Each segment walks _signature_powers on an int64 copy of its indices:
+        each prime p <= B = max(isqrt(K), 311) marks its multiples, one slice
+        of stride p, and is divided out along the multiples of each power of
+        p; what remains above 1 is the one prime factor above B, and so above
+        sqrt(K).
         """
         if self.prime_signature_steps is None:
             return None
         import numpy as np
 
-        k_max, n = self.last_index, self.n_frequencies
-        primes = _signature_primes(k_max)
-        spans, lo = [], 0  # (first index, first position, end position)
+        powers = _signature_powers(self.last_index)
+        masks = np.zeros(self.n_frequencies, dtype=np.uint64)
+        pairs = np.zeros(self.n_frequencies, dtype=np.int64)
+        halves = pairs.view(np.int32).reshape(-1, 2)  # the latest found in half 0
+        hi = 0
         for s in self.segments:
-            spans.append((s.start, lo, lo + s.count))
-            lo += s.count
-        rest = np.concatenate(
-            [np.arange(s.start, s.end + 1, dtype=np.int64) for s in self.segments]
-        )
-        masks = np.zeros(n, dtype=np.uint64)
-        # Factors above 311, the latest found first; a third would need K >= 313**3.
-        first, second = np.zeros(n, dtype=np.int32), np.zeros(n, dtype=np.int32)
-        for i, p in enumerate(primes):
-            q = p
-            while q <= k_max:
-                for start, lo, end in spans:
-                    at = lo + -start % q  # position of the segment's first multiple
-                    if at >= end:
-                        continue
-                    rest[at:end:q] //= p
-                    if q == p and i < 64:
-                        masks[at:end:p] |= np.uint64(1 << i)
-                    elif q == p:
-                        second[at:end:p] = first[at:end:p]
-                        first[at:end:p] = p
-                q *= p
-        top = rest > 1
-        second[top] = first[top]
-        first[top] = rest[top]
-        return masks, np.stack([first, second], axis=1)
+            lo, hi = hi, hi + s.count
+            mask, (first, second) = masks[lo:hi], halves[lo:hi].T
+            rest = np.arange(s.start, s.end + 1, dtype=np.int64)
+            for bit, p, q in powers:
+                at = -s.start % q  # position of the segment's first multiple
+                if at >= s.count:
+                    continue
+                rest[at::q] //= p
+                if q == p and bit:
+                    mask[at::p] |= np.uint64(bit)
+                elif q == p:
+                    second[at::p] = first[at::p]
+                    first[at::p] = p
+            top = rest > 1
+            second[top] = first[top]
+            first[top] = rest[top]
+        return masks, pairs
 
     @cached_property
     def coprimality_weights(self) -> tuple[tuple[int, int], ...]:
@@ -299,8 +287,10 @@ def load_plan(path: str | Path) -> FrequencyPlan:
     return validate_plan(raw)
 
 
-def _signature_primes(k_max: int) -> list[int]:
-    """The primes up to max(isqrt(k_max), 311), which prime_signatures walks."""
+def _signature_powers(k_max: int) -> list[tuple[int, int, int]]:
+    """(bit, p, q) for each power q = p**e <= k_max of each prime p up to
+    max(isqrt(k_max), 311), in the order prime_signatures walks them: bit is
+    p's mask bit, 1 << i for the i-th prime, or 0 for the primes above 311."""
     import numpy as np
 
     bound = max(math.isqrt(k_max), 311)
@@ -309,7 +299,13 @@ def _signature_primes(k_max: int) -> list[int]:
     for p in range(2, math.isqrt(bound) + 1):
         if sieve[p]:
             sieve[p * p :: p] = False
-    return np.flatnonzero(sieve).tolist()
+    powers = []
+    for i, p in enumerate(np.flatnonzero(sieve).tolist()):
+        q = p
+        while q <= k_max:
+            powers.append((1 << i if i < 64 else 0, p, q))
+            q *= p
+    return powers
 
 
 def count_multiples_upto(plan: FrequencyPlan, j: np.ndarray) -> np.ndarray:

@@ -243,6 +243,25 @@ class TestProbMonteCarlo:
         with pytest.raises(ValueError):
             prob_montecarlo(fig1_plan_l1, 3, 0, seed=1)
 
+    @pytest.mark.parametrize(
+        "m, workers, message",
+        [
+            (0, 1, "m must be >= 1, got 0"),
+            (-2, 1, "m must be >= 1, got -2"),
+            (3, 0, "workers must be >= 1, got 0"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "segments", [[(1, 4)], [(2, 1), (4, 1)]], ids=["one_to_four", "gcd_2"]
+    )
+    def test_rejects_bad_m_and_workers(self, segments, m, workers, message, monkeypatch):
+        # Refused before the gcd early return, any draw or any table build.
+        monkeypatch.setattr(estimator, "sample_selection_batch", refuse_draws)
+        plan = make_plan(segments)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            prob_montecarlo(plan, m, 10_000, seed=0, workers=workers)
+        assert "prime_signatures" not in vars(plan)
+
     def test_threads_capped_by_affinity(self, monkeypatch):
         monkeypatch.setattr(estimator.os, "cpu_count", lambda: 64)
         monkeypatch.setattr(
@@ -427,6 +446,21 @@ class TestPrimeSignaturePath:
     def test_largest_table_and_one_block_stay_small(self):
         # The largest table: N = 2**16 indices, the last 313**3 - 1.
         plan = make_plan([(313**3 - 2**16, 2**16)])
+        tracemalloc.start()
+        try:
+            assert plan.prime_signatures is not None
+            prob_montecarlo(plan, 3, MC_BLOCK_SIZE, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    def test_many_segment_table_and_one_block_stay_small(self):
+        # The gate's many-segment corner: 45 segments of 1,456 indices, the
+        # last ending at 313**3 - 1, so N = 65,520 and 72,045 walk steps.
+        last = 313**3 - 1_456
+        plan = make_plan([(last - 600_000 * i, 1_456) for i in range(45)])
+        assert plan.n_frequencies == 65_520 and plan.prime_signature_steps == 72_045
         tracemalloc.start()
         try:
             assert plan.prime_signatures is not None

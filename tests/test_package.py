@@ -168,3 +168,25 @@ def test_new_numpy_names_are_caught():
     assert sorted(names_used(ast.parse(code), NAMES_NEW_IN_NUMPY_2)) == [
         "numpy.bitwise_count", "numpy.vecdot",
     ]
+
+
+def test_failing_property_test_prints_its_example(tmp_path):
+    # Under the repo's filterwarnings = ["error"], a warning from Hypothesis's
+    # own pytest plugin must not turn a failed property into an INTERNALERROR
+    # (exit 3) that hides the falsifying example.
+    (tmp_path / "test_planted.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_planted(x):\n"
+        "    assert x < 10\n"
+    )
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "pytest", "-p", "no:cacheprovider",
+            "-c", str(pyproject), "--rootdir", str(tmp_path), "test_planted.py",
+        ],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "Falsifying example" in proc.stdout

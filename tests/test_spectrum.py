@@ -354,7 +354,7 @@ def signature_plans(draw):
 class TestPrimeSignatures:
     @staticmethod
     def assert_factors_match_trial_division(plan):
-        masks, large = plan.prime_signatures
+        masks, pairs = plan.prime_signatures
         bit = {p: 1 << i for i, p in enumerate(TRIAL_PRIMES[:64])}
         expected_masks, expected_large = [], []
         for k in plan_indices(plan):
@@ -362,10 +362,11 @@ class TestPrimeSignatures:
             expected_masks.append(sum(bit[p] for p in factors if p in bit))
             expected_large.append({p for p in factors if p not in bit})
         assert TRIAL_PRIMES[63] == 311
-        assert masks.dtype == np.uint64 and large.dtype == np.int32
-        assert large.shape == (plan.n_frequencies, 2)
+        assert masks.dtype == np.uint64 and pairs.dtype == np.int64
+        assert masks.shape == pairs.shape == (plan.n_frequencies,)
         assert masks.tolist() == expected_masks
-        assert [set(pair) - {0} for pair in large.tolist()] == expected_large
+        large = pairs.view(np.int32).reshape(-1, 2).tolist()  # a pair's two halves
+        assert [set(pair) - {0} for pair in large] == expected_large
 
     def test_fig1_plans_match_trial_division(self, fig1_plans):
         for plan in fig1_plans:
