@@ -19,12 +19,12 @@ EXACT_MAX_INDEX = 10_000_000  # bound on the largest plan index K for the exact 
 EXACT_MAX_BITS = 14_000  # bound on M * bit_length(N): the size of N^M and of the sum
 
 MC_BLOCK_SIZE = 65_536  # fixed so results never depend on worker count
-# A plan's prime_signatures take about 72 ns per table entry and at most 2.5 us
-# per step of their walk to build, and once M >= 2 they save about 30 ns per
+# A plan's prime_signatures take about 49 ns per table entry and at most 2.1 us
+# per step of their walk to build, and once M >= 2 they save at least 44 ns per
 # drawn row (2-core x86-64 VM, numpy 2.4): a request builds them only when it
 # draws at least this many rows per entry and per step.
-SIGNATURE_ROWS_PER_ENTRY = 3
-SIGNATURE_ROWS_PER_STEP = 85
+SIGNATURE_ROWS_PER_ENTRY = 2
+SIGNATURE_ROWS_PER_STEP = 49
 
 
 class CapabilityError(RuntimeError):
@@ -143,11 +143,12 @@ def prob_montecarlo(
     holds T futures whatever ``trials`` is; integer hit counts sum the same
     in any order.
     A block decides coprimality one of two ways, with the same draws and the
-    same estimate. With the plan's prime signatures (see
-    FrequencyPlan.prime_signatures), it draws the flat positions
-    sample_selection_batch would draw and keeps a running AND of their 64-bit
-    masks of primes up to 311 and the shared part of their prime factors
-    above 311: a row's gcd is above 1 exactly while either is nonzero.
+    same estimate. With the plan's prime signatures (masks, firsts, seconds),
+    three contiguous columns (see FrequencyPlan.prime_signatures), it draws
+    the flat positions sample_selection_batch would draw, gathers the three
+    columns at them, and keeps a running AND of their 64-bit masks of primes
+    up to 311 and the shared part of their two prime factors above 311: a
+    row's gcd is above 1 exactly while the mask or either prime is nonzero.
     Otherwise columns come from sample_selection_batch, which maps draws
     through the plan's cached bucket table and returns int32 when the plan's
     last index is below 2**31 (int64 otherwise), and fold into a running
@@ -189,31 +190,43 @@ def prob_montecarlo(
     def gcd_hits(n: int, rng: np.random.Generator) -> int:
         g = sample_selection_batch(plan, n, rng)
         for _ in range(m - 1):
-            g = g[g > 1]
-            if not g.size:
-                break
+            keep = g > 1
+            if not keep.all():  # the first step keeps every row unless 1 is drawn
+                g = g.compress(keep)
+                if not g.size:
+                    break
             g = np.gcd(g, sample_selection_batch(plan, g.size, rng))
         return n - int(np.count_nonzero(g > 1))
 
     def signature_hits(n: int, rng: np.random.Generator) -> int:
-        # The positions sample_selection_batch draws (int32: K < 313**3), and a
-        # row drops at the step its gcd would reach 1, when its mask and both
-        # of its shared primes above 311 are 0.
-        masks, pairs = signatures  # one gather of a pair fetches both primes
+        # The positions sample_selection_batch draws (int32: K < 313**3), widened
+        # once, since take gathers fastest by int64. A row drops at the step its
+        # gcd would reach 1, when its mask and both of its primes above 311 are 0;
+        # each array is freed once used, to bound the block's memory peak.
+        masks, firsts, seconds = signatures
         pos = rng.integers(0, plan.n_frequencies, size=n, dtype=np.int32)
-        mask, shared = masks[pos], pairs[pos]
+        pos = pos.astype(np.int64)
+        mask, a0, a1 = masks.take(pos), firsts.take(pos), seconds.take(pos)
+        del pos
         for _ in range(m - 1):
-            keep = (mask != 0) | (shared != 0)
-            mask = mask[keep]  # one array at a time: the block's memory peak
-            shared = shared[keep]
-            if not mask.size:
-                break
+            keep = (mask != 0) | ((a0 | a1) != 0)
+            if not keep.all():  # the first step keeps every row unless 1 is drawn
+                rows = np.flatnonzero(keep)
+                mask = mask.take(rows)  # one array at a time: the block's memory peak
+                a0 = a0.take(rows)
+                a1 = a1.take(rows)
+                del rows
+                if not mask.size:
+                    break
+            del keep
             pos = rng.integers(0, plan.n_frequencies, size=mask.size, dtype=np.int32)
-            mask &= masks[pos]
-            a = shared.view(np.int32).reshape(-1, 2)
-            b = pairs[pos].view(np.int32).reshape(-1, 2)
-            a *= (a == b[:, :1]) | (a == b[:, 1:])
-        return n - int(np.count_nonzero((mask != 0) | (shared != 0)))
+            pos = pos.astype(np.int64)
+            mask &= masks.take(pos)
+            b0, b1 = firsts.take(pos), seconds.take(pos)
+            del pos
+            a0 *= (a0 == b0) | (a0 == b1)
+            a1 *= (a1 == b0) | (a1 == b1)
+        return n - int(np.count_nonzero((mask != 0) | ((a0 | a1) != 0)))
 
     def block_hits(b: int) -> int:
         n = min(MC_BLOCK_SIZE, trials - b * MC_BLOCK_SIZE)

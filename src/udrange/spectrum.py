@@ -50,8 +50,8 @@ class FrequencyPlan:
     Segment l covers grid indices [a_l, a_l + count_l - 1], i.e. frequencies
     a_l * f_min .. (a_l + count_l - 1) * f_min, with f_min_hz exact. State
     derived from the plan (the sampler's bucket table, the exact method's
-    weights, the Monte Carlo prime signatures as (masks, pairs), each int64
-    pair two int32 halves) is computed once per object, on first use, and
+    weights, the Monte Carlo prime signatures as three contiguous columns
+    (masks, firsts, seconds)) is computed once per object, on first use, and
     freed with it.
     """
 
@@ -108,18 +108,23 @@ class FrequencyPlan:
         """
         if self.last_index >= 313**3 or self.n_frequencies > 2**16:
             return None
-        return len(_signature_powers(self.last_index)) * self.n_segments
+        return len(self._signature_walk) * self.n_segments
 
     @cached_property
-    def prime_signatures(self) -> tuple[np.ndarray, np.ndarray] | None:
+    def _signature_walk(self) -> list[tuple[int, int, int]]:
+        """_signature_powers(K), listed once for both the step count and the walk."""
+        return _signature_powers(self.last_index)
+
+    @cached_property
+    def prime_signatures(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
         """The prime factors of the index at each flat position 0..N-1.
 
-        Returns (masks, pairs) of N entries each: bit i of the uint64 masks[j]
-        is set when the i-th prime (2, 3, ..., 311, the first 64) divides the
-        index at position j, and the int64 pairs[j] holds its prime factors
-        above 311 in its two int32 halves, 0 where absent. Two indices share a
-        prime exactly when their masks share a bit or their pairs a nonzero
-        half. None when prime_signature_steps is None.
+        Returns (masks, firsts, seconds) of N entries each: bit i of the uint64
+        masks[j] is set when the i-th prime (2, 3, ..., 311, the first 64)
+        divides the index at position j, and the int32 firsts[j] and
+        seconds[j] hold its prime factors above 311, 0 where absent. Two
+        indices share a prime exactly when their masks share a bit or their
+        large primes a nonzero value. None when prime_signature_steps is None.
 
         Each segment walks _signature_powers on an int64 copy of its indices:
         each prime p <= B = max(isqrt(K), 311) marks its multiples, one slice
@@ -131,14 +136,14 @@ class FrequencyPlan:
             return None
         import numpy as np
 
-        powers = _signature_powers(self.last_index)
+        powers = self._signature_walk
         masks = np.zeros(self.n_frequencies, dtype=np.uint64)
-        pairs = np.zeros(self.n_frequencies, dtype=np.int64)
-        halves = pairs.view(np.int32).reshape(-1, 2)  # the latest found in half 0
+        firsts = np.zeros(self.n_frequencies, dtype=np.int32)  # the latest found
+        seconds = np.zeros(self.n_frequencies, dtype=np.int32)
         hi = 0
         for s in self.segments:
             lo, hi = hi, hi + s.count
-            mask, (first, second) = masks[lo:hi], halves[lo:hi].T
+            mask, first, second = masks[lo:hi], firsts[lo:hi], seconds[lo:hi]
             rest = np.arange(s.start, s.end + 1, dtype=np.int64)
             for bit, p, q in powers:
                 at = -s.start % q  # position of the segment's first multiple
@@ -153,7 +158,7 @@ class FrequencyPlan:
             top = rest > 1
             second[top] = first[top]
             first[top] = rest[top]
-        return masks, pairs
+        return masks, firsts, seconds
 
     @cached_property
     def coprimality_weights(self) -> tuple[tuple[int, int], ...]:
@@ -342,7 +347,8 @@ def sample_selection_batch(
 
     cum, shift, bits, table = plan.sampler_layout
     positions = rng.integers(0, plan.n_frequencies, size=size, dtype=cum.dtype)
-    out = table[positions >> bits]
+    # take gathers fastest by an int64 index.
+    out = table.take((positions >> bits).astype(np.int64, copy=False))
     split = np.flatnonzero(out == 0)
     out[split] = shift[np.searchsorted(cum, positions[split], side="right")]
     out += positions

@@ -393,7 +393,49 @@ def break_even(plan: FrequencyPlan) -> int:
     )
 
 
+@st.composite
+def kernel_plans(draw):
+    """Up to eight segments below 313**3: windows of up to 40 indices around
+    index 1 or any index, and lone products of two primes above 311 (all
+    above 313**2 = 97,969), so that drawn rows often share only such a prime."""
+    large = (313, 317, 331, 337)
+    products = sorted({p * q for p in large for q in large})
+    windows = [[a, a] for a in draw(st.lists(st.sampled_from(products), max_size=6))]
+    anchors = st.one_of(st.just(1), st.integers(1, 313**3 - 1))
+    for anchor in draw(st.lists(anchors, min_size=1, max_size=2)):
+        count = draw(st.integers(1, 40))
+        start = max(1, anchor - draw(st.integers(0, count - 1)))
+        windows.append([start, min(start + count, 313**3) - 1])
+    segments = []
+    for start, end in sorted(windows):
+        if segments and start <= segments[-1][1]:
+            segments[-1][1] = max(segments[-1][1], end)
+        else:
+            segments.append([start, end])
+    return make_plan([(start, end - start + 1) for start, end in segments])
+
+
 class TestPrimeSignaturePath:
+    @given(
+        plan=kernel_plans(),
+        m=st.integers(2, 16),
+        trials=st.integers(1, 4_000),
+        seed=st.integers(0, 2**32),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_kernels_hit_alike_per_block(self, plan, m, trials, seed):
+        # One block, so equal estimates are equal hit counts on one substream.
+        assert trials <= MC_BLOCK_SIZE and plan.prime_signatures is not None
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(estimator, "sample_selection_batch", refuse_draws)
+            fast = prob_montecarlo(plan, m, trials, seed=seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(FrequencyPlan, "prime_signature_steps", None)
+            plan = FrequencyPlan(plan.f_min_hz, plan.segments)
+            slow = prob_montecarlo(plan, m, trials, seed=seed)
+            assert "prime_signatures" not in vars(plan)
+        assert fast == slow
+
     @pytest.mark.parametrize("name", SIGNATURE_PLANS)
     def test_same_estimate_as_gcd_path(self, name, monkeypatch):
         # Two blocks, so that two workers split them.

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from udrange import spectrum
 from udrange.ranging import compute_ud
 from udrange.spectrum import (
     PlanError,
@@ -18,7 +19,7 @@ from udrange.spectrum import (
     validate_plan,
 )
 
-from .conftest import make_plan, small_plans
+from .conftest import load_fig1_plan, make_plan, small_plans
 from .oracles import (
     TRIAL_PRIMES,
     count_multiples_brute,
@@ -354,7 +355,7 @@ def signature_plans(draw):
 class TestPrimeSignatures:
     @staticmethod
     def assert_factors_match_trial_division(plan):
-        masks, pairs = plan.prime_signatures
+        masks, firsts, seconds = plan.prime_signatures
         bit = {p: 1 << i for i, p in enumerate(TRIAL_PRIMES[:64])}
         expected_masks, expected_large = [], []
         for k in plan_indices(plan):
@@ -362,10 +363,11 @@ class TestPrimeSignatures:
             expected_masks.append(sum(bit[p] for p in factors if p in bit))
             expected_large.append({p for p in factors if p not in bit})
         assert TRIAL_PRIMES[63] == 311
-        assert masks.dtype == np.uint64 and pairs.dtype == np.int64
-        assert masks.shape == pairs.shape == (plan.n_frequencies,)
+        assert masks.dtype == np.uint64
+        assert firsts.dtype == seconds.dtype == np.int32
+        assert masks.shape == firsts.shape == seconds.shape == (plan.n_frequencies,)
         assert masks.tolist() == expected_masks
-        large = pairs.view(np.int32).reshape(-1, 2).tolist()  # a pair's two halves
+        large = zip(firsts.tolist(), seconds.tolist())
         assert [set(pair) - {0} for pair in large] == expected_large
 
     def test_fig1_plans_match_trial_division(self, fig1_plans):
@@ -391,6 +393,21 @@ class TestPrimeSignatures:
     @settings(max_examples=10, deadline=None)
     def test_random_plans_match_trial_division(self, plan):
         self.assert_factors_match_trial_division(plan)
+
+    def test_prime_powers_are_listed_once_per_table(self, monkeypatch):
+        calls = []
+
+        def counted(k_max):
+            calls.append(k_max)
+            return listed(k_max)
+
+        listed = spectrum._signature_powers
+        monkeypatch.setattr(spectrum, "_signature_powers", counted)
+        plans = [load_fig1_plan(12), make_plan([(313**3 - 1_000, 1_000)])]
+        for plan in plans:
+            assert plan.prime_signature_steps is not None
+            assert plan.prime_signatures is not None
+        assert calls == [plan.last_index for plan in plans]
 
     @pytest.mark.parametrize(
         "segments", [[(1, 800)], [(100, 50), (7_000, 3)], [(313**3 - 1_000, 1_000)]]
