@@ -19,12 +19,14 @@ EXACT_MAX_INDEX = 10_000_000  # bound on the largest plan index K for the exact 
 EXACT_MAX_BITS = 14_000  # bound on M * bit_length(N): the size of N^M and of the sum
 
 MC_BLOCK_SIZE = 65_536  # fixed so results never depend on worker count
-# A plan's prime_signatures take about 49 ns per table entry and at most 2.1 us
-# per step of their walk to build, and once M >= 2 they save at least 44 ns per
-# drawn row (2-core x86-64 VM, numpy 2.4): a request builds them only when it
-# draws at least this many rows per entry and per step.
+# A plan's prime_signatures take at most about 54 ns per table entry, 96 ns per
+# step of their walk whose segment holds no multiple of the step's prime power
+# and 2.2 us per step whose segment holds one, and once M >= 2 they save at
+# least 50 ns per trial (2-core x86-64 VM, numpy 2.4): a request builds them
+# only when it has at least SIGNATURE_ROWS_PER_ENTRY trials per entry and per
+# step without a multiple, and SIGNATURE_ROWS_PER_STEP per step with one.
 SIGNATURE_ROWS_PER_ENTRY = 2
-SIGNATURE_ROWS_PER_STEP = 49
+SIGNATURE_ROWS_PER_STEP = 44
 
 
 class CapabilityError(RuntimeError):
@@ -143,21 +145,28 @@ def prob_montecarlo(
     holds T futures whatever ``trials`` is; integer hit counts sum the same
     in any order.
     A block decides coprimality one of two ways, with the same draws and the
-    same estimate. With the plan's prime signatures (masks, firsts, seconds),
-    three contiguous columns (see FrequencyPlan.prime_signatures), it draws
-    the flat positions sample_selection_batch would draw, gathers the three
-    columns at them, and keeps a running AND of their 64-bit masks of primes
-    up to 311 and the shared part of their two prime factors above 311: a
-    row's gcd is above 1 exactly while the mask or either prime is nonzero.
+    same estimate. With the plan's prime signatures (masks, firsts, seconds,
+    hashes; see FrequencyPlan.prime_signatures), it draws the flat positions
+    sample_selection_batch would draw, as int64, and keeps a running AND of
+    the 64-bit masks of primes up to 311 they gather: a row's gcd is above 1
+    while its mask, or its set of shared prime factors above 311, is
+    nonzero. Two indices share such a prime for well under 0.1% of rows, so
+    the second draw ANDs the 32-bit hash words of the first two as a screen
+    that misses no shared prime; only the rows it flags gather their primes
+    at both positions and keep the shared ones. The few rows left with a
+    shared large prime are tracked sparsely from then on: each later draw
+    gathers their primes and drops those that no longer divide, while every
+    other row moves only its mask.
     Otherwise columns come from sample_selection_batch, which maps draws
     through the plan's cached bucket table and returns int32 when the plan's
     last index is below 2**31 (int64 otherwise), and fold into a running
     np.gcd; the drawn indices, and so the estimate, do not depend on that
     dtype. The signatures are used when M >= 2, the plan has them (K < 313**3,
-    N <= 2**16) and they are already built or the request draws enough rows
-    to pay for building them: trials >= SIGNATURE_ROWS_PER_ENTRY * N +
-    SIGNATURE_ROWS_PER_STEP * prime_signature_steps. They are built once,
-    in the calling thread.
+    N <= 2**16) and they are already built or the request has enough trials
+    to pay for building them: trials >= SIGNATURE_ROWS_PER_ENTRY * (N +
+    prime_signature_steps - S) + SIGNATURE_ROWS_PER_STEP * S, for the S walk
+    steps whose segment holds a multiple. They are built once, in the
+    calling thread.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
@@ -176,16 +185,18 @@ def prob_montecarlo(
     import numpy as np
 
     n_blocks = (trials + MC_BLOCK_SIZE - 1) // MC_BLOCK_SIZE
-    # M = 1 has no gcd to save; a table already built costs nothing more.
+    # M = 1 has no gcd to save; a table already built costs nothing more. The
+    # steps with a multiple are counted only once the rest of the build is paid.
+    signatures = None
     steps = plan.prime_signature_steps
-    if m > 1 and steps is not None and (
-        "prime_signatures" in vars(plan)
-        or trials >= SIGNATURE_ROWS_PER_ENTRY * plan.n_frequencies
-        + SIGNATURE_ROWS_PER_STEP * steps
-    ):
-        signatures = plan.prime_signatures  # built here, not by the pool's threads
-    else:
-        signatures = None
+    if m > 1 and steps is not None:
+        rows = SIGNATURE_ROWS_PER_ENTRY * (plan.n_frequencies + steps)
+        extra = SIGNATURE_ROWS_PER_STEP - SIGNATURE_ROWS_PER_ENTRY
+        if "prime_signatures" in vars(plan) or (
+            trials >= rows
+            and trials >= rows + extra * plan._signature_steps_with_multiple
+        ):
+            signatures = plan.prime_signatures  # built here, not by the pool's threads
 
     def gcd_hits(n: int, rng: np.random.Generator) -> int:
         g = sample_selection_batch(plan, n, rng)
@@ -199,34 +210,61 @@ def prob_montecarlo(
         return n - int(np.count_nonzero(g > 1))
 
     def signature_hits(n: int, rng: np.random.Generator) -> int:
-        # The positions sample_selection_batch draws (int32: K < 313**3), widened
-        # once, since take gathers fastest by int64. A row drops at the step its
-        # gcd would reach 1, when its mask and both of its primes above 311 are 0;
-        # each array is freed once used, to bound the block's memory peak.
-        masks, firsts, seconds = signatures
-        pos = rng.integers(0, plan.n_frequencies, size=n, dtype=np.int32)
-        pos = pos.astype(np.int64)
-        mask, a0, a1 = masks.take(pos), firsts.take(pos), seconds.take(pos)
+        # Rows `big`, a few, hold the primes a0, a1 above 311 that divide every
+        # index they drew; every other row holds only its mask. The int64
+        # positions are the stream of int32 ones (N <= 2**16) and the dtype take
+        # gathers fastest by; each array is freed once used, to bound the peak.
+        masks, firsts, seconds, hashes = signatures
+
+        def draw(size: int) -> np.ndarray:
+            return rng.integers(0, plan.n_frequencies, size=size, dtype=np.int64)
+
+        def shared(
+            rows: np.ndarray, a0: np.ndarray, a1: np.ndarray, pos: np.ndarray
+        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            # The rows whose primes a0, a1 also divide the index at pos.
+            b0, b1 = firsts.take(pos), seconds.take(pos)
+            a0 = a0 * ((a0 == b0) | (a0 == b1))
+            a1 = a1 * ((a1 == b0) | (a1 == b1))
+            live = np.flatnonzero((a0 | a1) != 0)
+            return rows.take(live), a0.take(live), a1.take(live)
+
+        first = draw(n)
+        if plan.segments[0].start == 1:  # index 1, at position 0, has no prime
+            first = first.compress(first != 0)
+            if not first.size:
+                return n
+        mask, flags = masks.take(first), hashes.take(first)
+        first = first.astype(np.uint16)  # a quarter of the bytes, until step 2
+        pos = draw(mask.size)
+        # Indices that share a prime above 311 share its hash bit: the rows
+        # whose hash words meet, a few percent, get the exact test.
+        flags &= hashes.take(pos)
+        big = np.flatnonzero(flags != 0)
+        del flags
+        at = first.take(big)
+        del first
+        big, a0, a1 = shared(big, firsts.take(at), seconds.take(at), pos.take(big))
+        mask &= masks.take(pos)
         del pos
-        for _ in range(m - 1):
-            keep = (mask != 0) | ((a0 | a1) != 0)
-            if not keep.all():  # the first step keeps every row unless 1 is drawn
+        for _ in range(m - 2):
+            keep = mask != 0
+            keep[big] = True
+            if not keep.all():
                 rows = np.flatnonzero(keep)
-                mask = mask.take(rows)  # one array at a time: the block's memory peak
-                a0 = a0.take(rows)
-                a1 = a1.take(rows)
+                mask = mask.take(rows)
+                big = rows.searchsorted(big)
                 del rows
                 if not mask.size:
-                    break
+                    return n
             del keep
-            pos = rng.integers(0, plan.n_frequencies, size=mask.size, dtype=np.int32)
-            pos = pos.astype(np.int64)
+            pos = draw(mask.size)
             mask &= masks.take(pos)
-            b0, b1 = firsts.take(pos), seconds.take(pos)
+            big, a0, a1 = shared(big, a0, a1, pos.take(big))
             del pos
-            a0 *= (a0 == b0) | (a0 == b1)
-            a1 *= (a1 == b0) | (a1 == b1)
-        return n - int(np.count_nonzero((mask != 0) | ((a0 | a1) != 0)))
+        alive = mask != 0
+        alive[big] = True
+        return n - int(np.count_nonzero(alive))
 
     def block_hits(b: int) -> int:
         n = min(MC_BLOCK_SIZE, trials - b * MC_BLOCK_SIZE)

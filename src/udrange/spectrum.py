@@ -50,9 +50,9 @@ class FrequencyPlan:
     Segment l covers grid indices [a_l, a_l + count_l - 1], i.e. frequencies
     a_l * f_min .. (a_l + count_l - 1) * f_min, with f_min_hz exact. State
     derived from the plan (the sampler's bucket table, the exact method's
-    weights, the Monte Carlo prime signatures as three contiguous columns
-    (masks, firsts, seconds)) is computed once per object, on first use, and
-    freed with it.
+    weights, the Monte Carlo prime signatures as four contiguous columns
+    (masks, firsts, seconds, hashes)) is computed once per object, on first
+    use, and freed with it.
     """
 
     f_min_hz: Fraction
@@ -104,11 +104,22 @@ class FrequencyPlan:
         One step per segment and power p**e <= K of each prime p it walks;
         the walk's time grows with these steps and with N. None unless
         K < 313**3, so that no index has three prime factors above 311, and
-        N <= 2**16, so that the table stays under 1 MiB.
+        N <= 2**16, so that the table stays within 1.25 MiB (20 bytes an entry).
         """
         if self.last_index >= 313**3 or self.n_frequencies > 2**16:
             return None
         return len(self._signature_walk) * self.n_segments
+
+    @cached_property
+    def _signature_steps_with_multiple(self) -> int:
+        """The walk steps whose segment holds a multiple of the step's power:
+        the costly ones, which slice the segment; the rest skip it at once."""
+        import numpy as np
+
+        powers = np.array([q for _, _, q in self._signature_walk], dtype=np.int64)
+        return sum(
+            int(np.count_nonzero(-s.start % powers < s.count)) for s in self.segments
+        )
 
     @cached_property
     def _signature_walk(self) -> list[tuple[int, int, int]]:
@@ -116,15 +127,19 @@ class FrequencyPlan:
         return _signature_powers(self.last_index)
 
     @cached_property
-    def prime_signatures(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    def prime_signatures(
+        self,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
         """The prime factors of the index at each flat position 0..N-1.
 
-        Returns (masks, firsts, seconds) of N entries each: bit i of the uint64
-        masks[j] is set when the i-th prime (2, 3, ..., 311, the first 64)
-        divides the index at position j, and the int32 firsts[j] and
-        seconds[j] hold its prime factors above 311, 0 where absent. Two
-        indices share a prime exactly when their masks share a bit or their
-        large primes a nonzero value. None when prime_signature_steps is None.
+        Returns (masks, firsts, seconds, hashes) of N entries each: bit i of
+        the uint64 masks[j] is set when the i-th prime (2, 3, ..., 311, the
+        first 64) divides the index at position j, the int32 firsts[j] and
+        seconds[j] hold its prime factors above 311, 0 where absent, and the
+        uint32 hashes[j] has bit p % 31 set for each of them. Two indices
+        share a prime exactly when their masks share a bit or their large
+        primes a nonzero value, and share a large prime only if their hashes
+        share a bit. None when prime_signature_steps is None.
 
         Each segment walks _signature_powers on an int64 copy of its indices:
         each prime p <= B = max(isqrt(K), 311) marks its multiples, one slice
@@ -158,7 +173,11 @@ class FrequencyPlan:
             top = rest > 1
             second[top] = first[top]
             first[top] = rest[top]
-        return masks, firsts, seconds
+        # No prime above 311 is 0 mod 31, so bit 0 marks only the absent zeros.
+        hashes = np.uint32(1) << (firsts % 31).astype(np.uint32)
+        hashes |= np.uint32(1) << (seconds % 31).astype(np.uint32)
+        hashes &= np.uint32(0xFFFF_FFFE)
+        return masks, firsts, seconds, hashes
 
     @cached_property
     def coprimality_weights(self) -> tuple[tuple[int, int], ...]:

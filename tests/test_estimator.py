@@ -387,22 +387,24 @@ def refuse_draws(*args):
 
 def break_even(plan: FrequencyPlan) -> int:
     """The fewest trials for which a request builds the plan's signatures."""
-    return (
-        estimator.SIGNATURE_ROWS_PER_ENTRY * plan.n_frequencies
-        + estimator.SIGNATURE_ROWS_PER_STEP * plan.prime_signature_steps
-    )
+    busy = plan._signature_steps_with_multiple
+    return estimator.SIGNATURE_ROWS_PER_ENTRY * (
+        plan.n_frequencies + plan.prime_signature_steps - busy
+    ) + estimator.SIGNATURE_ROWS_PER_STEP * busy
 
 
 @st.composite
 def kernel_plans(draw):
     """Up to eight segments below 313**3: windows of up to 40 indices around
     index 1 or any index, and lone products of two primes above 311 (all
-    above 313**2 = 97,969), so that drawn rows often share only such a prime."""
-    large = (313, 317, 331, 337)
+    above 313**2 = 97,969), so that drawn rows often share only such a prime,
+    some through every draw. 379 and 499 have the hash bits of 317 and 313
+    (p % 31), so some rows meet in the hash words without sharing a prime."""
+    large = (313, 317, 331, 337, 379, 499)
     products = sorted({p * q for p in large for q in large})
     windows = [[a, a] for a in draw(st.lists(st.sampled_from(products), max_size=6))]
     anchors = st.one_of(st.just(1), st.integers(1, 313**3 - 1))
-    for anchor in draw(st.lists(anchors, min_size=1, max_size=2)):
+    for anchor in draw(st.lists(anchors, min_size=0 if windows else 1, max_size=2)):
         count = draw(st.integers(1, 40))
         start = max(1, anchor - draw(st.integers(0, count - 1)))
         windows.append([start, min(start + count, 313**3) - 1])
@@ -462,6 +464,13 @@ class TestPrimeSignaturePath:
             assert "prime_signatures" not in vars(plan)
         prob_montecarlo(plan, 2, rows, seed=1)
         assert vars(plan)["prime_signatures"] is not None
+
+    def test_small_request_leaves_the_walk_steps_uncounted(self):
+        # Below 2 (N + steps) trials the gate needs no count of the steps with
+        # a multiple, one pass over the powers per segment.
+        plan = load_fig1_plan(12)
+        prob_montecarlo(plan, 3, 20_000, seed=1)
+        assert "_signature_steps_with_multiple" not in vars(plan)
 
     def test_built_table_serves_small_requests(self, monkeypatch):
         plan = load_fig1_plan(12)

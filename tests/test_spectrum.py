@@ -297,6 +297,23 @@ class TestPositionMapping:
         assert drawn.dtype == expected_dtype(plan)
         assert drawn.tolist() == sample_selection_ref(plan, reference).tolist()
 
+    @given(
+        n=st.integers(1, 2**31),
+        sizes=st.lists(st.integers(1, 101), min_size=1, max_size=8),
+        narrow=st.lists(st.booleans(), min_size=8, max_size=8),
+        seed=st.integers(0, 2**32),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_int32_and_int64_draws_are_one_stream(self, n, sizes, narrow, seed):
+        # Below 2**32 numpy draws either dtype from 32-bit words and keeps the
+        # unused half of a 64-bit output for the next call, odd sizes included:
+        # the Monte Carlo signature block draws int64 where
+        # sample_selection_batch draws int32, one call after another.
+        mixed, wide = np.random.default_rng(seed), np.random.default_rng(seed)
+        for size, small in zip(sizes, narrow):
+            got = mixed.integers(0, n, size=size, dtype=np.int32 if small else np.int64)
+            assert got.tolist() == wide.integers(0, n, size=size, dtype=np.int64).tolist()
+
 
 class TestSelectionFromIndices:
     def test_accepts_members(self):
@@ -355,7 +372,7 @@ def signature_plans(draw):
 class TestPrimeSignatures:
     @staticmethod
     def assert_factors_match_trial_division(plan):
-        masks, firsts, seconds = plan.prime_signatures
+        masks, firsts, seconds, hashes = plan.prime_signatures
         bit = {p: 1 << i for i, p in enumerate(TRIAL_PRIMES[:64])}
         expected_masks, expected_large = [], []
         for k in plan_indices(plan):
@@ -365,10 +382,14 @@ class TestPrimeSignatures:
         assert TRIAL_PRIMES[63] == 311
         assert masks.dtype == np.uint64
         assert firsts.dtype == seconds.dtype == np.int32
-        assert masks.shape == firsts.shape == seconds.shape == (plan.n_frequencies,)
+        assert hashes.dtype == np.uint32
+        shapes = {a.shape for a in (masks, firsts, seconds, hashes)}
+        assert shapes == {(plan.n_frequencies,)}
         assert masks.tolist() == expected_masks
         large = zip(firsts.tolist(), seconds.tolist())
         assert [set(pair) - {0} for pair in large] == expected_large
+        expected_hashes = [sum({1 << p % 31 for p in ps}) for ps in expected_large]
+        assert hashes.tolist() == expected_hashes
 
     def test_fig1_plans_match_trial_division(self, fig1_plans):
         for plan in fig1_plans:
@@ -394,6 +415,27 @@ class TestPrimeSignatures:
     def test_random_plans_match_trial_division(self, plan):
         self.assert_factors_match_trial_division(plan)
 
+    @pytest.mark.parametrize(
+        "segments",
+        [
+            [(313 * 317 - 600, 1_200)],
+            [(313 * 499 - 300, 600), (317 * 379 - 300, 600)],  # 499, 379: 313, 317 mod 31
+            [(313**3 - 1_500, 1_500)],
+        ],
+    )
+    def test_every_shared_large_prime_meets_in_the_hashes(self, segments):
+        # Every pair of positions, both orders: a pair that shares a prime above
+        # 311 has hash words that share a bit, so the screen misses no such row.
+        plan = make_plan(segments)
+        self.assert_factors_match_trial_division(plan)
+        masks, firsts, seconds, hashes = plan.prime_signatures
+        large = np.stack([firsts, seconds])[:, :, None]  # [k, i]: row i's primes
+        share = (((large == firsts) | (large == seconds)) & (large != 0)).any(axis=0)
+        meet = (hashes & hashes[:, None]) != 0
+        assert (share & ~np.eye(plan.n_frequencies, dtype=bool)).any()
+        assert not (share & ~meet).any()
+        assert (meet & ~share).any()  # the screen flags pairs that share no prime
+
     def test_prime_powers_are_listed_once_per_table(self, monkeypatch):
         calls = []
 
@@ -418,3 +460,18 @@ class TestPrimeSignatures:
         walked = [p for p in TRIAL_PRIMES if p <= max(math.isqrt(k), 311)]
         powers = sum(len([e for e in range(1, 64) if p**e <= k]) for p in walked)
         assert plan.prime_signature_steps == powers * len(segments)
+
+    @pytest.mark.parametrize(
+        "segments", [[(1, 800)], [(100, 50), (7_000, 3)], [(313**2 - 20, 40), (10**6, 5)]]
+    )
+    def test_steps_with_a_multiple_are_counted(self, segments):
+        # The build gate prices the walk steps whose segment holds a multiple
+        # of the step's prime power apart from the rest.
+        plan = make_plan(segments)
+        k = plan.last_index
+        walked = [p for p in TRIAL_PRIMES if p <= max(math.isqrt(k), 311)]
+        powers = [p**e for p in walked for e in range(1, 64) if p**e <= k]
+        indices = [range(s.start, s.end + 1) for s in plan.segments]
+        busy = sum(any(i % q == 0 for i in run) for run in indices for q in powers)
+        assert 0 < busy <= plan.prime_signature_steps
+        assert plan._signature_steps_with_multiple == busy
