@@ -19,12 +19,11 @@ EXACT_MAX_INDEX = 10_000_000  # bound on the largest plan index K for the exact 
 EXACT_MAX_BITS = 14_000  # bound on M * bit_length(N): the size of N^M and of the sum
 
 MC_BLOCK_SIZE = 65_536  # fixed so results never depend on worker count
-# A plan's prime_signatures take at most about 54 ns per table entry, 96 ns per
-# step of their walk whose segment holds no multiple of the step's prime power
-# and 2.2 us per step whose segment holds one, and once M >= 2 they save at
-# least 50 ns per trial (2-core x86-64 VM, numpy 2.4): a request builds them
-# only when it has at least SIGNATURE_ROWS_PER_ENTRY trials per entry and per
-# step without a multiple, and SIGNATURE_ROWS_PER_STEP per step with one.
+# A plan's prime_signatures take at most about 54 ns per table entry and 2.2 us
+# per walk step to build, and save at least 50 ns per trial once M >= 2 (2-core
+# x86-64 VM, numpy 2.4). Rent or buy: a plan builds them once its M >= 2 requests
+# have asked for the trials that pay the build, at most about twice the cost of
+# the better of building at once and never (Karlin et al., Algorithmica 3, 1988).
 SIGNATURE_ROWS_PER_ENTRY = 2
 SIGNATURE_ROWS_PER_STEP = 44
 
@@ -162,11 +161,10 @@ def prob_montecarlo(
     last index is below 2**31 (int64 otherwise), and fold into a running
     np.gcd; the drawn indices, and so the estimate, do not depend on that
     dtype. The signatures are used when M >= 2, the plan has them (K < 313**3,
-    N <= 2**16) and they are already built or the request has enough trials
-    to pay for building them: trials >= SIGNATURE_ROWS_PER_ENTRY * (N +
-    prime_signature_steps - S) + SIGNATURE_ROWS_PER_STEP * S, for the S walk
-    steps whose segment holds a multiple. They are built once, in the
-    calling thread.
+    N <= 2**16) and its M >= 2 requests, this one included, have asked for
+    SIGNATURE_ROWS_PER_ENTRY * N + SIGNATURE_ROWS_PER_STEP *
+    prime_signature_steps trials in all. They are built once, in the calling
+    thread.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
@@ -185,17 +183,14 @@ def prob_montecarlo(
     import numpy as np
 
     n_blocks = (trials + MC_BLOCK_SIZE - 1) // MC_BLOCK_SIZE
-    # M = 1 has no gcd to save; a table already built costs nothing more. The
-    # steps with a multiple are counted only once the rest of the build is paid.
+    # M = 1 has no gcd to save; a table already built costs nothing more.
     signatures = None
     steps = plan.prime_signature_steps
     if m > 1 and steps is not None:
-        rows = SIGNATURE_ROWS_PER_ENTRY * (plan.n_frequencies + steps)
-        extra = SIGNATURE_ROWS_PER_STEP - SIGNATURE_ROWS_PER_ENTRY
-        if "prime_signatures" in vars(plan) or (
-            trials >= rows
-            and trials >= rows + extra * plan._signature_steps_with_multiple
-        ):
+        plan._signature_demand[0] += trials
+        price = SIGNATURE_ROWS_PER_ENTRY * plan.n_frequencies
+        price += SIGNATURE_ROWS_PER_STEP * steps
+        if "prime_signatures" in vars(plan) or plan._signature_demand[0] >= price:
             signatures = plan.prime_signatures  # built here, not by the pool's threads
 
     def gcd_hits(n: int, rng: np.random.Generator) -> int:

@@ -111,15 +111,10 @@ class FrequencyPlan:
         return len(self._signature_walk) * self.n_segments
 
     @cached_property
-    def _signature_steps_with_multiple(self) -> int:
-        """The walk steps whose segment holds a multiple of the step's power:
-        the costly ones, which slice the segment; the rest skip it at once."""
-        import numpy as np
-
-        powers = np.array([q for _, _, q in self._signature_walk], dtype=np.int64)
-        return sum(
-            int(np.count_nonzero(-s.start % powers < s.count)) for s in self.segments
-        )
+    def _signature_demand(self) -> list[int]:
+        """One cell, the trials the plan's M >= 2 Monte Carlo requests have asked
+        for; unlocked, as a lost update moves the table's build, not a result."""
+        return [0]
 
     @cached_property
     def _signature_walk(self) -> list[tuple[int, int, int]]:

@@ -47,7 +47,9 @@ def load_fig1_plan(n_segments: int) -> FrequencyPlan:
 
 @pytest.fixture(scope="session")
 def fig1_plans() -> tuple[FrequencyPlan, ...]:
-    """The bundled L = 1, 7, 12 plans, as users run them."""
+    """The bundled L = 1, 7, 12 plans, as users run them. The session shares
+    them, so their Monte Carlo requests add up, and a plan builds its prime
+    signatures in whichever test takes its sum past the price."""
     return tuple(load_fig1_plan(L) for L in (1, 7, 12))
 
 

@@ -7,8 +7,13 @@ import sys
 
 import pytest
 
-from udrange import _selfcheck, cli
-from udrange.estimator import EXACT_MAX_INDEX, ProbabilityEstimate, prob_exact
+from udrange import _selfcheck, cli, estimator
+from udrange.estimator import (
+    EXACT_MAX_INDEX,
+    ProbabilityEstimate,
+    prob_exact,
+    prob_montecarlo,
+)
 from udrange.numtheory import MobiusTable, mertens_at_quotients, sieve_mobius
 
 from .conftest import PLAN_DIR, REPO_ROOT, make_plan, run_main
@@ -812,6 +817,40 @@ class TestSweepCommand:
             argv += ["--plan", str(PLAN_DIR / f"fig1_L{L}.json")]
         assert run_main(argv + ["--out", str(sweep_csv)]) == (0, "", "")
         assert script_csv.read_bytes() == sweep_csv.read_bytes()
+
+    def test_build_point_never_changes_a_byte(self):
+        # Which path a request takes never changes its hits, so the sweep's
+        # bytes do not depend on when, or whether, each plan builds its table.
+        argv = ["sweep", "--m-range", "3..8", "--trials", "40000", "--seed", "5"]
+        for L in (1, 7, 12):
+            argv += ["--plan", str(PLAN_DIR / f"fig1_L{L}.json")]
+        runs = [
+            (0, {1: 1, 7: 1, 12: 1}),  # every table at its plan's first request
+            (None, {1: 2, 7: 5}),  # the defaults: L = 12 asks 240,000 < 262,480
+            (10**12, {}),  # no table at all
+        ]
+        outputs = []
+        for rows, built_at in runs:
+            seen = {}
+
+            def recording(plan, *args):
+                estimate = prob_montecarlo(plan, *args)
+                requests, built = seen.get(plan.n_segments, (0, None))
+                if built is None and "prime_signatures" in vars(plan):
+                    built = requests + 1
+                seen[plan.n_segments] = requests + 1, built
+                return estimate
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(cli, "prob_montecarlo", recording)
+                if rows is not None:
+                    mp.setattr(estimator, "SIGNATURE_ROWS_PER_ENTRY", rows)
+                    mp.setattr(estimator, "SIGNATURE_ROWS_PER_STEP", rows)
+                code, out, err = run_main(argv)
+            assert (code, err) == (0, "")
+            assert {L: b for L, (_, b) in seen.items() if b is not None} == built_at
+            outputs.append(out)
+        assert outputs[0] == outputs[1] == outputs[2]
 
 
 def exact_numerator_plus_one(plan, m):

@@ -258,9 +258,12 @@ class TestProbMonteCarlo:
         # Refused before the gcd early return, any draw or any table build.
         monkeypatch.setattr(estimator, "sample_selection_batch", refuse_draws)
         plan = make_plan(segments)
+        assert break_even(plan) < 10_000
         with pytest.raises(ValueError, match=re.escape(message)):
             prob_montecarlo(plan, m, 10_000, seed=0, workers=workers)
         assert "prime_signatures" not in vars(plan)
+        monkeypatch.undo()
+        assert_request_below_price_builds_nothing(plan, monkeypatch)
 
     def test_threads_capped_by_affinity(self, monkeypatch):
         monkeypatch.setattr(estimator.os, "cpu_count", lambda: 64)
@@ -363,6 +366,9 @@ class TestProbMonteCarlo:
         assert estimate.value == estimate.std_error == 0.0
         assert estimate.trials == 200_000
         assert "prime_signatures" not in vars(plan)
+        monkeypatch.undo()
+        assert 200_000 >= break_even(plan)
+        assert_request_below_price_builds_nothing(plan, monkeypatch)
 
 
 # Plans with prime signatures: the Fig. 1 plans, one that holds index 1, one
@@ -386,11 +392,21 @@ def refuse_draws(*args):
 
 
 def break_even(plan: FrequencyPlan) -> int:
-    """The fewest trials for which a request builds the plan's signatures."""
-    busy = plan._signature_steps_with_multiple
-    return estimator.SIGNATURE_ROWS_PER_ENTRY * (
-        plan.n_frequencies + plan.prime_signature_steps - busy
-    ) + estimator.SIGNATURE_ROWS_PER_STEP * busy
+    """The trials a plan's M >= 2 requests ask for in all before it builds its
+    signatures: the fewest for which a fresh plan's first request builds them."""
+    return (
+        estimator.SIGNATURE_ROWS_PER_ENTRY * plan.n_frequencies
+        + estimator.SIGNATURE_ROWS_PER_STEP * plan.prime_signature_steps
+    )
+
+
+def assert_request_below_price_builds_nothing(plan, monkeypatch):
+    """After requests that must not count, an M >= 2 request one trial below
+    the price leaves the plan's signatures unbuilt. gcd_all is patched so that
+    a plan whose gcd is above 1 gets past the early return."""
+    monkeypatch.setattr(estimator, "gcd_all", lambda values: 1)
+    prob_montecarlo(plan, 2, break_even(plan) - 1, seed=0)
+    assert "prime_signatures" not in vars(plan)
 
 
 @st.composite
@@ -455,22 +471,27 @@ class TestPrimeSignaturePath:
 
     @pytest.mark.parametrize("n_segments", [1, 7, 12])
     def test_request_builds_the_table_only_when_it_pays(self, n_segments):
+        price = {1: 72_972, 7: 177_956, 12: 262_480}[n_segments]
+        assert break_even(load_fig1_plan(n_segments)) == price
+        # The CLI's 20,000-trial requests build the table at the one that
+        # brings the plan's sum to the price; M = 1, which has no gcd to
+        # save, adds nothing to the sum.
         plan = load_fig1_plan(n_segments)
-        rows = break_even(plan)
-        # The CLI's 20,000-trial requests, a single block, and M = 1, which
-        # has no gcd to save, leave the table unbuilt.
-        for m, trials in ((3, 20_000), (3, MC_BLOCK_SIZE), (3, rows - 1), (1, rows)):
-            prob_montecarlo(plan, m, trials, seed=1)
+        prob_montecarlo(plan, 1, price, seed=1)
+        asked = 0
+        while asked + 20_000 < price:
+            prob_montecarlo(plan, 3, 20_000, seed=1)
+            asked += 20_000
             assert "prime_signatures" not in vars(plan)
-        prob_montecarlo(plan, 2, rows, seed=1)
-        assert vars(plan)["prime_signatures"] is not None
-
-    def test_small_request_leaves_the_walk_steps_uncounted(self):
-        # Below 2 (N + steps) trials the gate needs no count of the steps with
-        # a multiple, one pass over the powers per segment.
-        plan = load_fig1_plan(12)
         prob_montecarlo(plan, 3, 20_000, seed=1)
-        assert "_signature_steps_with_multiple" not in vars(plan)
+        assert vars(plan)["prime_signatures"] is not None
+        # A fresh plan builds at a first request of the price, not one below.
+        plan = load_fig1_plan(n_segments)
+        prob_montecarlo(plan, 2, price - 1, seed=1)
+        assert "prime_signatures" not in vars(plan)
+        plan = load_fig1_plan(n_segments)
+        prob_montecarlo(plan, 2, price, seed=1)
+        assert vars(plan)["prime_signatures"] is not None
 
     def test_built_table_serves_small_requests(self, monkeypatch):
         plan = load_fig1_plan(12)

@@ -460,18 +460,3 @@ class TestPrimeSignatures:
         walked = [p for p in TRIAL_PRIMES if p <= max(math.isqrt(k), 311)]
         powers = sum(len([e for e in range(1, 64) if p**e <= k]) for p in walked)
         assert plan.prime_signature_steps == powers * len(segments)
-
-    @pytest.mark.parametrize(
-        "segments", [[(1, 800)], [(100, 50), (7_000, 3)], [(313**2 - 20, 40), (10**6, 5)]]
-    )
-    def test_steps_with_a_multiple_are_counted(self, segments):
-        # The build gate prices the walk steps whose segment holds a multiple
-        # of the step's prime power apart from the rest.
-        plan = make_plan(segments)
-        k = plan.last_index
-        walked = [p for p in TRIAL_PRIMES if p <= max(math.isqrt(k), 311)]
-        powers = [p**e for p in walked for e in range(1, 64) if p**e <= k]
-        indices = [range(s.start, s.end + 1) for s in plan.segments]
-        busy = sum(any(i % q == 0 for i in run) for run in indices for q in powers)
-        assert 0 < busy <= plan.prime_signature_steps
-        assert plan._signature_steps_with_multiple == busy
