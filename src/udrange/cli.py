@@ -127,7 +127,7 @@ def cmd_ud(args: argparse.Namespace) -> int:
         if args.indices is None:
             import numpy as np
 
-            rng = np.random.default_rng(np.random.SeedSequence([args.seed]))
+            rng = np.random.default_rng(args.seed)
             selection = tuple(sample_selection_batch(plan, args.select, rng).tolist())
         result = compute_ud(plan, selection)
         lines = [

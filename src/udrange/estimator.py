@@ -162,9 +162,9 @@ def prob_montecarlo(
     np.gcd; the drawn indices, and so the estimate, do not depend on that
     dtype. The signatures are used when M >= 2, the plan has them (K < 313**3,
     N <= 2**16) and its M >= 2 requests, this one included, have asked for
-    SIGNATURE_ROWS_PER_ENTRY * N + SIGNATURE_ROWS_PER_STEP *
-    prime_signature_steps trials in all. They are built once, in the calling
-    thread.
+    SIGNATURE_ROWS_PER_ENTRY * N + SIGNATURE_ROWS_PER_STEP * S trials in all,
+    where S = L * len(plan._signature_powers) is the walk's steps over L
+    segments. They are built once, in the calling thread.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
@@ -185,11 +185,11 @@ def prob_montecarlo(
     n_blocks = (trials + MC_BLOCK_SIZE - 1) // MC_BLOCK_SIZE
     # M = 1 has no gcd to save; a table already built costs nothing more.
     signatures = None
-    steps = plan.prime_signature_steps
-    if m > 1 and steps is not None:
+    powers = plan._signature_powers
+    if m > 1 and powers is not None:
         plan._signature_demand[0] += trials
         price = SIGNATURE_ROWS_PER_ENTRY * plan.n_frequencies
-        price += SIGNATURE_ROWS_PER_STEP * steps
+        price += SIGNATURE_ROWS_PER_STEP * len(powers) * plan.n_segments
         if "prime_signatures" in vars(plan) or plan._signature_demand[0] >= price:
             signatures = plan.prime_signatures  # built here, not by the pool's threads
 
@@ -263,7 +263,7 @@ def prob_montecarlo(
 
     def block_hits(b: int) -> int:
         n = min(MC_BLOCK_SIZE, trials - b * MC_BLOCK_SIZE)
-        rng = np.random.default_rng(np.random.SeedSequence(list(entropy + (b,))))
+        rng = np.random.default_rng(entropy + (b,))
         return (gcd_hits if signatures is None else signature_hits)(n, rng)
 
     threads = min(workers, n_blocks, _usable_cpus())

@@ -98,28 +98,38 @@ class FrequencyPlan:
         return cum, shift, bits, table
 
     @cached_property
-    def prime_signature_steps(self) -> int | None:
-        """Steps the prime_signatures walk takes, or None if the plan has none.
-
-        One step per segment and power p**e <= K of each prime p it walks;
-        the walk's time grows with these steps and with N. None unless
+    def _signature_powers(self) -> list[tuple[int, int, int]] | None:
+        """(bit, p, q) for each power q = p**e <= K of each prime p up to
+        B = max(isqrt(K), 311), in the order prime_signatures walks them: bit
+        is p's mask bit, 1 << i for the i-th prime, or 0 for the primes above
+        311. The walk takes one step per segment and listed power; its time
+        grows with these steps and with N. None, so no table, unless
         K < 313**3, so that no index has three prime factors above 311, and
         N <= 2**16, so that the table stays within 1.25 MiB (20 bytes an entry).
         """
         if self.last_index >= 313**3 or self.n_frequencies > 2**16:
             return None
-        return len(self._signature_walk) * self.n_segments
+        import numpy as np
+
+        bound = max(math.isqrt(self.last_index), 311)
+        sieve = np.ones(bound + 1, dtype=bool)
+        sieve[:2] = False
+        for p in range(2, math.isqrt(bound) + 1):
+            if sieve[p]:
+                sieve[p * p :: p] = False
+        powers = []
+        for i, p in enumerate(np.flatnonzero(sieve).tolist()):
+            q = p
+            while q <= self.last_index:
+                powers.append((1 << i if i < 64 else 0, p, q))
+                q *= p
+        return powers
 
     @cached_property
     def _signature_demand(self) -> list[int]:
         """One cell, the trials the plan's M >= 2 Monte Carlo requests have asked
         for; unlocked, as a lost update moves the table's build, not a result."""
         return [0]
-
-    @cached_property
-    def _signature_walk(self) -> list[tuple[int, int, int]]:
-        """_signature_powers(K), listed once for both the step count and the walk."""
-        return _signature_powers(self.last_index)
 
     @cached_property
     def prime_signatures(
@@ -134,19 +144,18 @@ class FrequencyPlan:
         uint32 hashes[j] has bit p % 31 set for each of them. Two indices
         share a prime exactly when their masks share a bit or their large
         primes a nonzero value, and share a large prime only if their hashes
-        share a bit. None when prime_signature_steps is None.
+        share a bit. None when _signature_powers is None.
 
         Each segment walks _signature_powers on an int64 copy of its indices:
-        each prime p <= B = max(isqrt(K), 311) marks its multiples, one slice
-        of stride p, and is divided out along the multiples of each power of
-        p; what remains above 1 is the one prime factor above B, and so above
-        sqrt(K).
+        each prime p <= B marks its multiples, one slice of stride p, and is
+        divided out along the multiples of each power of p; what remains above
+        1 is the one prime factor above B, and so above sqrt(K).
         """
-        if self.prime_signature_steps is None:
+        powers = self._signature_powers
+        if powers is None:
             return None
         import numpy as np
 
-        powers = self._signature_walk
         masks = np.zeros(self.n_frequencies, dtype=np.uint64)
         firsts = np.zeros(self.n_frequencies, dtype=np.int32)  # the latest found
         seconds = np.zeros(self.n_frequencies, dtype=np.int32)
@@ -304,27 +313,6 @@ def load_plan(path: str | Path) -> FrequencyPlan:
     except (OSError, ValueError, RecursionError) as exc:
         raise PlanError(f"cannot read plan file {path}: {exc}") from exc
     return validate_plan(raw)
-
-
-def _signature_powers(k_max: int) -> list[tuple[int, int, int]]:
-    """(bit, p, q) for each power q = p**e <= k_max of each prime p up to
-    max(isqrt(k_max), 311), in the order prime_signatures walks them: bit is
-    p's mask bit, 1 << i for the i-th prime, or 0 for the primes above 311."""
-    import numpy as np
-
-    bound = max(math.isqrt(k_max), 311)
-    sieve = np.ones(bound + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, math.isqrt(bound) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    powers = []
-    for i, p in enumerate(np.flatnonzero(sieve).tolist()):
-        q = p
-        while q <= k_max:
-            powers.append((1 << i if i < 64 else 0, p, q))
-            q *= p
-    return powers
 
 
 def count_multiples_upto(plan: FrequencyPlan, j: np.ndarray) -> np.ndarray:

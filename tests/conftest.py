@@ -10,6 +10,7 @@ from unittest import mock
 import pytest
 from hypothesis import strategies as st
 
+from udrange import estimator
 from udrange.cli import main
 from udrange.spectrum import FrequencyPlan, load_plan, validate_plan
 
@@ -38,6 +39,18 @@ def run_main(argv: list[str], columns: int = 80) -> tuple[int, str, str]:
         except SystemExit as exc:
             code = exc.code
     return code, out.getvalue(), err.getvalue()
+
+
+@contextlib.contextmanager
+def signature_price(rows: int):
+    """Both SIGNATURE_ROWS_* constants at rows, so that the price alone picks
+    the Monte Carlo path: at 0 every plan with a prime-signature table builds
+    it at its first M >= 2 request, at 10**12 no plan builds it. A context
+    manager, so that a Hypothesis test can enter it once per example."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimator, "SIGNATURE_ROWS_PER_ENTRY", rows)
+        mp.setattr(estimator, "SIGNATURE_ROWS_PER_STEP", rows)
+        yield
 
 
 def load_fig1_plan(n_segments: int) -> FrequencyPlan:

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import json
 import os
@@ -7,7 +8,7 @@ import sys
 
 import pytest
 
-from udrange import _selfcheck, cli, estimator
+from udrange import _selfcheck, cli
 from udrange.estimator import (
     EXACT_MAX_INDEX,
     ProbabilityEstimate,
@@ -16,7 +17,7 @@ from udrange.estimator import (
 )
 from udrange.numtheory import MobiusTable, mertens_at_quotients, sieve_mobius
 
-from .conftest import PLAN_DIR, REPO_ROOT, make_plan, run_main
+from .conftest import PLAN_DIR, REPO_ROOT, make_plan, run_main, signature_price
 from .oracles import coprime_fraction_brute
 
 
@@ -841,11 +842,9 @@ class TestSweepCommand:
                 seen[plan.n_segments] = requests + 1, built
                 return estimate
 
-            with pytest.MonkeyPatch.context() as mp:
+            price = contextlib.nullcontext() if rows is None else signature_price(rows)
+            with price, pytest.MonkeyPatch.context() as mp:
                 mp.setattr(cli, "prob_montecarlo", recording)
-                if rows is not None:
-                    mp.setattr(estimator, "SIGNATURE_ROWS_PER_ENTRY", rows)
-                    mp.setattr(estimator, "SIGNATURE_ROWS_PER_STEP", rows)
                 code, out, err = run_main(argv)
             assert (code, err) == (0, "")
             assert {L: b for L, (_, b) in seen.items() if b is not None} == built_at

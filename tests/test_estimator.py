@@ -23,7 +23,7 @@ from udrange.estimator import (
 )
 from udrange.spectrum import FrequencyPlan, sample_selection_batch
 
-from .conftest import load_fig1_plan, make_plan, small_plans
+from .conftest import load_fig1_plan, make_plan, signature_price, small_plans
 from .oracles import coprime_fraction_brute, coprimality_weights_ref, zeta_ref
 
 
@@ -394,9 +394,10 @@ def refuse_draws(*args):
 def break_even(plan: FrequencyPlan) -> int:
     """The trials a plan's M >= 2 requests ask for in all before it builds its
     signatures: the fewest for which a fresh plan's first request builds them."""
+    steps = len(plan._signature_powers) * plan.n_segments
     return (
         estimator.SIGNATURE_ROWS_PER_ENTRY * plan.n_frequencies
-        + estimator.SIGNATURE_ROWS_PER_STEP * plan.prime_signature_steps
+        + estimator.SIGNATURE_ROWS_PER_STEP * steps
     )
 
 
@@ -443,15 +444,14 @@ class TestPrimeSignaturePath:
     @settings(max_examples=100, deadline=None)
     def test_kernels_hit_alike_per_block(self, plan, m, trials, seed):
         # One block, so equal estimates are equal hit counts on one substream.
-        assert trials <= MC_BLOCK_SIZE and plan.prime_signatures is not None
-        with pytest.MonkeyPatch.context() as mp:
+        assert trials <= MC_BLOCK_SIZE
+        with signature_price(10**12):
+            slow = prob_montecarlo(plan, m, trials, seed=seed)
+        assert "prime_signatures" not in vars(plan)
+        with signature_price(0), pytest.MonkeyPatch.context() as mp:
             mp.setattr(estimator, "sample_selection_batch", refuse_draws)
             fast = prob_montecarlo(plan, m, trials, seed=seed)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(FrequencyPlan, "prime_signature_steps", None)
-            plan = FrequencyPlan(plan.f_min_hz, plan.segments)
-            slow = prob_montecarlo(plan, m, trials, seed=seed)
-            assert "prime_signatures" not in vars(plan)
+        assert plan.prime_signatures is not None
         assert fast == slow
 
     @pytest.mark.parametrize("name", SIGNATURE_PLANS)
@@ -459,14 +459,20 @@ class TestPrimeSignaturePath:
         # Two blocks, so that two workers split them.
         runs = [(m, w) for m in (2, 3, 4, 5, 6, 13, 64) for w in (1, 2)]
         plan = SIGNATURE_PLANS[name]()
-        assert plan.prime_signatures is not None  # built, so every run reads it
-        monkeypatch.setattr(estimator, "sample_selection_batch", refuse_draws)
-        fast = [prob_montecarlo(plan, m, 70_000, seed=(29, m), workers=w) for m, w in runs]
-        monkeypatch.undo()
-        monkeypatch.setattr(FrequencyPlan, "prime_signature_steps", None)
-        plan = SIGNATURE_PLANS[name]()
-        slow = [prob_montecarlo(plan, m, 70_000, seed=(29, m), workers=w) for m, w in runs]
+
+        def estimates():
+            return [
+                prob_montecarlo(plan, m, 70_000, seed=(29, m), workers=w)
+                for m, w in runs
+            ]
+
+        with signature_price(10**12):
+            slow = estimates()
         assert "prime_signatures" not in vars(plan)
+        monkeypatch.setattr(estimator, "sample_selection_batch", refuse_draws)
+        with signature_price(0):
+            fast = estimates()
+        assert vars(plan)["prime_signatures"] is not None  # built by the first run
         assert fast == slow
 
     @pytest.mark.parametrize("n_segments", [1, 7, 12])
@@ -493,6 +499,21 @@ class TestPrimeSignaturePath:
         prob_montecarlo(plan, 2, price, seed=1)
         assert vars(plan)["prime_signatures"] is not None
 
+    def test_concurrent_requests_match_lone_runs(self):
+        # Four requests from four threads on one fresh plan: their demand
+        # passes the 262,480-trial price while others still run, and a lost
+        # update to it may move the build, never an estimate.
+        plan = load_fig1_plan(12)
+        seeds = range(11, 15)
+        with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+            shared = list(
+                pool.map(lambda s: prob_montecarlo(plan, 3, 100_000, seed=s), seeds)
+            )
+        assert vars(plan)["prime_signatures"] is not None
+        assert shared == [
+            prob_montecarlo(load_fig1_plan(12), 3, 100_000, seed=s) for s in seeds
+        ]
+
     def test_built_table_serves_small_requests(self, monkeypatch):
         plan = load_fig1_plan(12)
         pinned = prob_montecarlo(plan, 3, 20_000, seed=1)
@@ -512,12 +533,14 @@ class TestPrimeSignaturePath:
         ids=["past_int32", "n_2_16_plus_1", "k_313_cubed", "l20000"],
     )
     def test_plans_without_a_table(self, plan):
-        assert plan.prime_signature_steps is None
+        assert plan._signature_powers is None
         assert plan.prime_signatures is None
 
-    def test_largest_table_and_one_block_stay_small(self):
-        # The largest table: N = 2**16 indices, the last 313**3 - 1.
+    def test_largest_table_and_one_block_stay_small(self, monkeypatch):
+        # The largest table: N = 2**16 indices, the last 313**3 - 1. No draw
+        # goes through sample_selection_batch, so the signature block is measured.
         plan = make_plan([(313**3 - 2**16, 2**16)])
+        monkeypatch.setattr(estimator, "sample_selection_batch", refuse_draws)
         tracemalloc.start()
         try:
             assert plan.prime_signatures is not None
@@ -527,12 +550,15 @@ class TestPrimeSignaturePath:
             tracemalloc.stop()
         assert peak < 4 * 2**20
 
-    def test_many_segment_table_and_one_block_stay_small(self):
+    def test_many_segment_table_and_one_block_stay_small(self, monkeypatch):
         # The gate's many-segment corner: 45 segments of 1,456 indices, the
-        # last ending at 313**3 - 1, so N = 65,520 and 72,045 walk steps.
+        # last ending at 313**3 - 1, so N = 65,520 and 72,045 walk steps. No
+        # draw goes through sample_selection_batch.
         last = 313**3 - 1_456
         plan = make_plan([(last - 600_000 * i, 1_456) for i in range(45)])
-        assert plan.n_frequencies == 65_520 and plan.prime_signature_steps == 72_045
+        assert plan.n_frequencies == 65_520
+        assert len(plan._signature_powers) * plan.n_segments == 72_045
+        monkeypatch.setattr(estimator, "sample_selection_batch", refuse_draws)
         tracemalloc.start()
         try:
             assert plan.prime_signatures is not None

@@ -1,5 +1,6 @@
 import math
 import time
+from functools import cached_property
 from decimal import Decimal
 from fractions import Fraction
 
@@ -8,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from udrange import spectrum
+from udrange.estimator import prob_montecarlo
 from udrange.ranging import compute_ud
 from udrange.spectrum import (
+    FrequencyPlan,
     PlanError,
     SelectionError,
     count_multiples_upto,
@@ -437,19 +439,37 @@ class TestPrimeSignatures:
         assert (meet & ~share).any()  # the screen flags pairs that share no prime
 
     def test_prime_powers_are_listed_once_per_table(self, monkeypatch):
+        # The sieve runs once per plan with a table, across a request that
+        # reaches the price, the table itself and a later request; never on a
+        # plan without one.
+        listed = FrequencyPlan.__dict__["_signature_powers"].func
         calls = []
 
-        def counted(k_max):
-            calls.append(k_max)
-            return listed(k_max)
+        def counted(plan):
+            powers = listed(plan)
+            calls.append((plan, powers is not None))
+            return powers
 
-        listed = spectrum._signature_powers
-        monkeypatch.setattr(spectrum, "_signature_powers", counted)
+        counting = cached_property(counted)
+        counting.__set_name__(FrequencyPlan, "_signature_powers")
+        monkeypatch.setattr(FrequencyPlan, "_signature_powers", counting)
         plans = [load_fig1_plan(12), make_plan([(313**3 - 1_000, 1_000)])]
         for plan in plans:
-            assert plan.prime_signature_steps is not None
+            prob_montecarlo(plan, 2, 262_480, seed=0)
+            assert "prime_signatures" in vars(plan)
             assert plan.prime_signatures is not None
-        assert calls == [plan.last_index for plan in plans]
+            prob_montecarlo(plan, 3, 1_000, seed=1)
+        assert calls == [(plan, True) for plan in plans]
+        calls.clear()
+        for plan in [
+            make_plan([(1_000, 5_000), (2**31 - 3_000, 6_000)]),  # K >= 313**3
+            make_plan([(1_000, 2**16 + 1)]),  # N > 2**16
+            make_plan([(313**3 - 999, 1_000)]),  # K = 313**3
+        ]:
+            prob_montecarlo(plan, 3, 1_000, seed=1)
+            assert plan.prime_signatures is None
+            assert calls == [(plan, False)]
+            calls.clear()
 
     @pytest.mark.parametrize(
         "segments", [[(1, 800)], [(100, 50), (7_000, 3)], [(313**3 - 1_000, 1_000)]]
@@ -459,4 +479,4 @@ class TestPrimeSignatures:
         k = plan.last_index
         walked = [p for p in TRIAL_PRIMES if p <= max(math.isqrt(k), 311)]
         powers = sum(len([e for e in range(1, 64) if p**e <= k]) for p in walked)
-        assert plan.prime_signature_steps == powers * len(segments)
+        assert len(plan._signature_powers) == powers
