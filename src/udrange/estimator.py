@@ -13,19 +13,12 @@ from dataclasses import dataclass, field
 from math import sqrt
 
 from .numtheory import gcd_all, zeta_int
-from .spectrum import FrequencyPlan, sample_selection_batch
+from .spectrum import FrequencyPlan, block_kernel
 
 EXACT_MAX_INDEX = 10_000_000  # bound on the largest plan index K for the exact method
 EXACT_MAX_BITS = 14_000  # bound on M * bit_length(N): the size of N^M and of the sum
 
 MC_BLOCK_SIZE = 65_536  # fixed so results never depend on worker count
-# A plan's prime_signatures take at most about 54 ns per table entry and 2.2 us
-# per walk step to build, and save at least 50 ns per trial once M >= 2 (2-core
-# x86-64 VM, numpy 2.4). Rent or buy: a plan builds them once its M >= 2 requests
-# have asked for the trials that pay the build, at most about twice the cost of
-# the better of building at once and never (Karlin et al., Algorithmica 3, 1988).
-SIGNATURE_ROWS_PER_ENTRY = 2
-SIGNATURE_ROWS_PER_STEP = 44
 
 
 class CapabilityError(RuntimeError):
@@ -137,34 +130,13 @@ def prob_montecarlo(
     entropy. Trials are split into fixed-size blocks, each driven by a
     substream derived from (seed..., block index), so the result is
     bit-identical for any worker count. A block folds one drawn column at a
-    time into a running gcd and drops the rows that reach 1, so its memory
-    does not grow with M; if the whole index set has a gcd above 1, P = 0
-    is returned without a draw. Each of T = min(workers, blocks, usable CPUs)
-    threads runs one pool task, blocks i, i + T, i + 2T, ..., so the pool
-    holds T futures whatever ``trials`` is; integer hit counts sum the same
-    in any order.
-    A block decides coprimality one of two ways, with the same draws and the
-    same estimate. With the plan's prime signatures (masks, firsts, seconds,
-    hashes; see FrequencyPlan.prime_signatures), it draws the flat positions
-    sample_selection_batch would draw, as int64, and keeps a running AND of
-    the 64-bit masks of primes up to 311 they gather: a row's gcd is above 1
-    while its mask, or its set of shared prime factors above 311, is
-    nonzero. Two indices share such a prime for well under 0.1% of rows, so
-    the second draw ANDs the 32-bit hash words of the first two as a screen
-    that misses no shared prime; only the rows it flags gather their primes
-    at both positions and keep the shared ones. The few rows left with a
-    shared large prime are tracked sparsely from then on: each later draw
-    gathers their primes and drops those that no longer divide, while every
-    other row moves only its mask.
-    Otherwise columns come from sample_selection_batch, which maps draws
-    through the plan's cached bucket table and returns int32 when the plan's
-    last index is below 2**31 (int64 otherwise), and fold into a running
-    np.gcd; the drawn indices, and so the estimate, do not depend on that
-    dtype. The signatures are used when M >= 2, the plan has them (K < 313**3,
-    N <= 2**16) and its M >= 2 requests, this one included, have asked for
-    SIGNATURE_ROWS_PER_ENTRY * N + SIGNATURE_ROWS_PER_STEP * S trials in all,
-    where S = L * len(plan._signature_powers) is the walk's steps over L
-    segments. They are built once, in the calling thread.
+    time into what its rows still share and drops the rows that share
+    nothing, so its memory does not grow with M; if the whole index set has
+    a gcd above 1, P = 0 is returned without a draw. Each of T = min(workers,
+    blocks, usable CPUs) threads runs one pool task, blocks i, i + T,
+    i + 2T, ..., so the pool holds T futures whatever ``trials`` is; integer
+    hit counts sum the same in any order. spectrum.block_kernel picks the
+    block's kernel and builds any table it needs, in the calling thread.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
@@ -183,88 +155,11 @@ def prob_montecarlo(
     import numpy as np
 
     n_blocks = (trials + MC_BLOCK_SIZE - 1) // MC_BLOCK_SIZE
-    # M = 1 has no gcd to save; a table already built costs nothing more.
-    signatures = None
-    powers = plan._signature_powers
-    if m > 1 and powers is not None:
-        plan._signature_demand[0] += trials
-        price = SIGNATURE_ROWS_PER_ENTRY * plan.n_frequencies
-        price += SIGNATURE_ROWS_PER_STEP * len(powers) * plan.n_segments
-        if "prime_signatures" in vars(plan) or plan._signature_demand[0] >= price:
-            signatures = plan.prime_signatures  # built here, not by the pool's threads
-
-    def gcd_hits(n: int, rng: np.random.Generator) -> int:
-        g = sample_selection_batch(plan, n, rng)
-        for _ in range(m - 1):
-            keep = g > 1
-            if not keep.all():  # the first step keeps every row unless 1 is drawn
-                g = g.compress(keep)
-                if not g.size:
-                    break
-            g = np.gcd(g, sample_selection_batch(plan, g.size, rng))
-        return n - int(np.count_nonzero(g > 1))
-
-    def signature_hits(n: int, rng: np.random.Generator) -> int:
-        # Rows `big`, a few, hold the primes a0, a1 above 311 that divide every
-        # index they drew; every other row holds only its mask. The int64
-        # positions are the stream of int32 ones (N <= 2**16) and the dtype take
-        # gathers fastest by; each array is freed once used, to bound the peak.
-        masks, firsts, seconds, hashes = signatures
-
-        def draw(size: int) -> np.ndarray:
-            return rng.integers(0, plan.n_frequencies, size=size, dtype=np.int64)
-
-        def shared(
-            rows: np.ndarray, a0: np.ndarray, a1: np.ndarray, pos: np.ndarray
-        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-            # The rows whose primes a0, a1 also divide the index at pos.
-            b0, b1 = firsts.take(pos), seconds.take(pos)
-            a0 = a0 * ((a0 == b0) | (a0 == b1))
-            a1 = a1 * ((a1 == b0) | (a1 == b1))
-            live = np.flatnonzero((a0 | a1) != 0)
-            return rows.take(live), a0.take(live), a1.take(live)
-
-        first = draw(n)
-        if plan.segments[0].start == 1:  # index 1, at position 0, has no prime
-            first = first.compress(first != 0)
-            if not first.size:
-                return n
-        mask, flags = masks.take(first), hashes.take(first)
-        first = first.astype(np.uint16)  # a quarter of the bytes, until step 2
-        pos = draw(mask.size)
-        # Indices that share a prime above 311 share its hash bit: the rows
-        # whose hash words meet, a few percent, get the exact test.
-        flags &= hashes.take(pos)
-        big = np.flatnonzero(flags != 0)
-        del flags
-        at = first.take(big)
-        del first
-        big, a0, a1 = shared(big, firsts.take(at), seconds.take(at), pos.take(big))
-        mask &= masks.take(pos)
-        del pos
-        for _ in range(m - 2):
-            keep = mask != 0
-            keep[big] = True
-            if not keep.all():
-                rows = np.flatnonzero(keep)
-                mask = mask.take(rows)
-                big = rows.searchsorted(big)
-                del rows
-                if not mask.size:
-                    return n
-            del keep
-            pos = draw(mask.size)
-            mask &= masks.take(pos)
-            big, a0, a1 = shared(big, a0, a1, pos.take(big))
-            del pos
-        alive = mask != 0
-        alive[big] = True
-        return n - int(np.count_nonzero(alive))
+    kernel = block_kernel(plan, m, trials)  # here, not in the pool's threads
 
     def block_hits(b: int) -> int:
         n = min(MC_BLOCK_SIZE, trials - b * MC_BLOCK_SIZE)
-        rng = np.random.default_rng(entropy + (b,))
-        return (gcd_hits if signatures is None else signature_hits)(n, rng)
+        return kernel(n, np.random.default_rng(entropy + (b,)))
 
     threads = min(workers, n_blocks, _usable_cpus())
 

@@ -10,7 +10,7 @@ from unittest import mock
 import pytest
 from hypothesis import strategies as st
 
-from udrange import estimator
+from udrange import spectrum
 from udrange.cli import main
 from udrange.spectrum import FrequencyPlan, load_plan, validate_plan
 
@@ -48,8 +48,8 @@ def signature_price(rows: int):
     it at its first M >= 2 request, at 10**12 no plan builds it. A context
     manager, so that a Hypothesis test can enter it once per example."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(estimator, "SIGNATURE_ROWS_PER_ENTRY", rows)
-        mp.setattr(estimator, "SIGNATURE_ROWS_PER_STEP", rows)
+        mp.setattr(spectrum, "SIGNATURE_ROWS_PER_ENTRY", rows)
+        mp.setattr(spectrum, "SIGNATURE_ROWS_PER_STEP", rows)
         yield
 
 

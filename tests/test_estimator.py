@@ -1,16 +1,18 @@
 import concurrent.futures
 import math
 import re
+import threading
 import time
 import tracemalloc
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from udrange import estimator
+from udrange import estimator, spectrum
 from udrange.estimator import (
     EXACT_MAX_BITS,
     EXACT_MAX_INDEX,
@@ -256,7 +258,7 @@ class TestProbMonteCarlo:
     )
     def test_rejects_bad_m_and_workers(self, segments, m, workers, message, monkeypatch):
         # Refused before the gcd early return, any draw or any table build.
-        monkeypatch.setattr(estimator, "sample_selection_batch", refuse_draws)
+        monkeypatch.setattr(spectrum, "sample_selection_batch", refuse_draws)
         plan = make_plan(segments)
         assert break_even(plan) < 10_000
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -361,7 +363,7 @@ class TestProbMonteCarlo:
         def refuse(*args):
             raise AssertionError("drew from a plan whose gcd is above 1")
 
-        monkeypatch.setattr(estimator, "sample_selection_batch", refuse)
+        monkeypatch.setattr(spectrum, "sample_selection_batch", refuse)
         estimate = prob_montecarlo(plan, 3, 200_000, seed=0, workers=2)
         assert estimate.value == estimate.std_error == 0.0
         assert estimate.trials == 200_000
@@ -396,8 +398,8 @@ def break_even(plan: FrequencyPlan) -> int:
     signatures: the fewest for which a fresh plan's first request builds them."""
     steps = len(plan._signature_powers) * plan.n_segments
     return (
-        estimator.SIGNATURE_ROWS_PER_ENTRY * plan.n_frequencies
-        + estimator.SIGNATURE_ROWS_PER_STEP * steps
+        spectrum.SIGNATURE_ROWS_PER_ENTRY * plan.n_frequencies
+        + spectrum.SIGNATURE_ROWS_PER_STEP * steps
     )
 
 
@@ -449,7 +451,7 @@ class TestPrimeSignaturePath:
             slow = prob_montecarlo(plan, m, trials, seed=seed)
         assert "prime_signatures" not in vars(plan)
         with signature_price(0), pytest.MonkeyPatch.context() as mp:
-            mp.setattr(estimator, "sample_selection_batch", refuse_draws)
+            mp.setattr(spectrum, "sample_selection_batch", refuse_draws)
             fast = prob_montecarlo(plan, m, trials, seed=seed)
         assert plan.prime_signatures is not None
         assert fast == slow
@@ -469,7 +471,7 @@ class TestPrimeSignaturePath:
         with signature_price(10**12):
             slow = estimates()
         assert "prime_signatures" not in vars(plan)
-        monkeypatch.setattr(estimator, "sample_selection_batch", refuse_draws)
+        monkeypatch.setattr(spectrum, "sample_selection_batch", refuse_draws)
         with signature_price(0):
             fast = estimates()
         assert vars(plan)["prime_signatures"] is not None  # built by the first run
@@ -514,11 +516,30 @@ class TestPrimeSignaturePath:
             prob_montecarlo(load_fig1_plan(12), 3, 100_000, seed=s) for s in seeds
         ]
 
+    def test_table_is_built_in_the_calling_thread(self, monkeypatch):
+        # 150,000 trials pass L = 1's 72,972-trial price, and their 3 blocks run
+        # on 2 pool threads, neither of which builds the table.
+        build = FrequencyPlan.__dict__["prime_signatures"].func
+        builders = []
+
+        def recorded(plan):
+            builders.append(threading.get_ident())
+            return build(plan)
+
+        recording = cached_property(recorded)
+        recording.__set_name__(FrequencyPlan, "prime_signatures")
+        monkeypatch.setattr(FrequencyPlan, "prime_signatures", recording)
+        monkeypatch.setattr(estimator, "_usable_cpus", lambda: 2)
+        plan = load_fig1_plan(1)
+        prob_montecarlo(plan, 3, 150_000, seed=1, workers=2)
+        assert vars(plan)["prime_signatures"] is not None
+        assert builders == [threading.get_ident()]
+
     def test_built_table_serves_small_requests(self, monkeypatch):
         plan = load_fig1_plan(12)
         pinned = prob_montecarlo(plan, 3, 20_000, seed=1)
         assert plan.prime_signatures is not None
-        monkeypatch.setattr(estimator, "sample_selection_batch", refuse_draws)
+        monkeypatch.setattr(spectrum, "sample_selection_batch", refuse_draws)
         assert prob_montecarlo(plan, 3, 20_000, seed=1) == pinned
 
     @pytest.mark.parametrize(
@@ -540,7 +561,7 @@ class TestPrimeSignaturePath:
         # The largest table: N = 2**16 indices, the last 313**3 - 1. No draw
         # goes through sample_selection_batch, so the signature block is measured.
         plan = make_plan([(313**3 - 2**16, 2**16)])
-        monkeypatch.setattr(estimator, "sample_selection_batch", refuse_draws)
+        monkeypatch.setattr(spectrum, "sample_selection_batch", refuse_draws)
         tracemalloc.start()
         try:
             assert plan.prime_signatures is not None
@@ -558,7 +579,7 @@ class TestPrimeSignaturePath:
         plan = make_plan([(last - 600_000 * i, 1_456) for i in range(45)])
         assert plan.n_frequencies == 65_520
         assert len(plan._signature_powers) * plan.n_segments == 72_045
-        monkeypatch.setattr(estimator, "sample_selection_batch", refuse_draws)
+        monkeypatch.setattr(spectrum, "sample_selection_batch", refuse_draws)
         tracemalloc.start()
         try:
             assert plan.prime_signatures is not None

@@ -170,6 +170,41 @@ def test_new_numpy_names_are_caught():
     ]
 
 
+# spectrum owns the prime-signature table: its format, its build rule and
+# price, and the block kernels that read it. prob_montecarlo gets a block's
+# kernel from spectrum.block_kernel and touches none of these.
+TABLE_INTERNALS = {
+    "_signature_powers", "_signature_demand", "prime_signatures",
+    "sample_selection_batch", "SIGNATURE_ROWS_PER_ENTRY", "SIGNATURE_ROWS_PER_STEP",
+}
+
+
+def table_internals_used(tree: ast.AST) -> list[str]:
+    """The TABLE_INTERNALS that tree names (as a name, attribute, import or
+    string), and "vars()" for each call of vars."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "vars":
+            found.append("vars()")
+        for value in (getattr(node, k, None) for k in ("id", "attr", "name", "value")):
+            if isinstance(value, str) and value in TABLE_INTERNALS:
+                found.append(value)
+    return found
+
+
+def test_estimator_knows_no_table_internals():
+    path = Path(__file__).resolve().parent.parent / "src" / "udrange" / "estimator.py"
+    assert table_internals_used(ast.parse(path.read_text(encoding="utf-8"))) == []
+    # Each way of naming them is caught.
+    code = (
+        "from .spectrum import sample_selection_batch\n"
+        "x = plan._signature_demand\ny = 'prime_signatures' in vars(plan)\n"
+    )
+    assert sorted(table_internals_used(ast.parse(code))) == [
+        "_signature_demand", "prime_signatures", "sample_selection_batch", "vars()",
+    ]
+
+
 def test_failing_property_test_prints_its_example(tmp_path):
     # Under the repo's filterwarnings = ["error"], a warning from Hypothesis's
     # own pytest plugin must not turn a failed property into an INTERNALERROR

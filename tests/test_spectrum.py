@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from udrange.estimator import prob_montecarlo
 from udrange.ranging import compute_ud
 from udrange.spectrum import (
+    SIGNATURE_ROWS_PER_ENTRY,
+    SIGNATURE_ROWS_PER_STEP,
     FrequencyPlan,
     PlanError,
     SelectionError,
@@ -441,7 +443,7 @@ class TestPrimeSignatures:
     def test_prime_powers_are_listed_once_per_table(self, monkeypatch):
         # The sieve runs once per plan with a table, across a request that
         # reaches the price, the table itself and a later request; never on a
-        # plan without one.
+        # plan without one, nor for an M = 1 request.
         listed = FrequencyPlan.__dict__["_signature_powers"].func
         calls = []
 
@@ -470,6 +472,12 @@ class TestPrimeSignatures:
             assert plan.prime_signatures is None
             assert calls == [(plan, False)]
             calls.clear()
+        # M = 1 has no gcd to save: a request of a table's full price lists nothing.
+        plan = FrequencyPlan(plans[1].f_min_hz, plans[1].segments)
+        price = SIGNATURE_ROWS_PER_ENTRY * plan.n_frequencies
+        price += SIGNATURE_ROWS_PER_STEP * len(plans[1]._signature_powers)
+        prob_montecarlo(plan, 1, price, seed=1)
+        assert calls == []
 
     @pytest.mark.parametrize(
         "segments", [[(1, 800)], [(100, 50), (7_000, 3)], [(313**3 - 1_000, 1_000)]]
